@@ -8,6 +8,12 @@ boundary are reconnected: a statically determined fluent keeps the retained
 prefix and amalgamates it with the fresh result, a simple fluent keeps only
 the start point of the crossing interval and rebuilds the interval from it.
 
+`Engine.__init__` compiles each rule once into a plan: an ordered chain of
+join steps over variable slots, each reading its source through an index on
+the argument positions bound before it.  Terminations are evaluated only for
+groundings with an initiation or a kept start, and a holdsFor rule only for
+the groundings drawn from its sparsest required input (see README.md).
+
 One engine instance is single-threaded; scale-out is by running independent
 instances over disjoint groundings, each fed the complete stream.
 """
@@ -15,32 +21,22 @@ instances over disjoint groundings, each fed the complete stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
 from . import intervals as iv
 from .intervals import OPEN, IntervalList
 from .language import (
-    HAPPENS,
-    HOLDS_FOR,
-    INITIATED,
-    TERMINATED,
-    BoundaryEvent,
-    Comparison,
-    EventDescription,
-    EventPattern,
-    FluentValue,
-    HappensAt,
-    HoldsAt,
-    HoldsFor,
-    IntervalComplement,
-    IntervalIntersection,
-    IntervalUnion,
-    Rule,
-    is_var,
+    HAPPENS, HOLDS_FOR, INITIATED, TERMINATED, BoundaryEvent, Comparison, EventDescription,
+    FluentValue, HappensAt, HoldsAt, HoldsFor, IntervalComplement, IntervalIntersection,
+    IntervalUnion, Rule, is_var,
 )
 
-MODES = ("asap", "partial_stable", "final")
+# the stabilities each reporting mode emits
+_REPORTED = {"asap": ("open", "partial", "final"), "partial_stable": ("partial", "final"),
+             "final": ("final",)}
+MODES = tuple(_REPORTED)
 
 
 class ConfigError(ValueError):
@@ -78,10 +74,6 @@ class ResultEntry:
     end: Optional[int]  # None while the endpoint is unknown
     stability: str  # "open" | "partial" | "final"
 
-    @property
-    def fluent(self) -> tuple:
-        return (self.name, self.args, self.value)
-
 
 @dataclass
 class RecognitionResult:
@@ -90,13 +82,18 @@ class RecognitionResult:
     reported: list[ResultEntry]  # filtered by the configured mode
 
 
+def select_reported(entries: Iterable[ResultEntry], mode: str) -> list[ResultEntry]:
+    """The entries a reporting mode emits, in their given order."""
+    if mode not in _REPORTED:
+        raise ConfigError(f"mode must be one of {MODES}")
+    return [e for e in entries if e.stability in _REPORTED[mode]]
+
+
 def _materialize(ilist: IntervalList, bound: int) -> IntervalList:
     """Replace an OPEN tail by a finite end one past `bound` for set arithmetic."""
     if ilist and ilist[-1][1] is OPEN:
         s = ilist[-1][0]
-        if s > bound:
-            return ilist[:-1]
-        return ilist[:-1] + [(s, bound + 1)]
+        return ilist[:-1] if s > bound else ilist[:-1] + [(s, bound + 1)]
     return ilist
 
 
@@ -113,7 +110,8 @@ def _reopen(ilist: IntervalList, bound: int) -> IntervalList:
 
 class SdeStore:
     """Window-resident input events and durative input fluents, indexed by name
-    and arguments, with record ids for retraction."""
+    and arguments, with record ids for retraction.  Only keys with content
+    are kept, so the keys are what the window holds."""
 
     def __init__(self):
         self.events: dict[str, dict[tuple, list[tuple[int, str]]]] = {}
@@ -127,9 +125,8 @@ class SdeStore:
         self.by_id[rec_id] = ("event", name, args)
         return True
 
-    def add_interval(
-        self, rec_id: str, name: str, args: tuple, value, start: int, end: Optional[int]
-    ) -> bool:
+    def add_interval(self, rec_id: str, name: str, args: tuple, value, start: int,
+                     end: Optional[int]) -> bool:
         if rec_id in self.by_id:
             return False
         slot = self.durative.setdefault(name, {}).setdefault(args, {}).setdefault(value, [])
@@ -142,41 +139,39 @@ class SdeStore:
         if entry is None:
             return False
         if entry[0] == "event":
-            _, name, args = entry
-            slot = self.events[name][args]
-            slot[:] = [item for item in slot if item[1] != rec_id]
+            per_args, args = self.events[entry[1]], entry[2]
+            per_args[args] = [item for item in per_args[args] if item[1] != rec_id]
         else:
-            _, name, args, value = entry
-            slot = self.durative[name][args][value]
-            slot[:] = [item for item in slot if item[2] != rec_id]
+            per_args, args, value = self.durative[entry[1]], entry[2], entry[3]
+            per_value = per_args[args]
+            per_value[value] = [item for item in per_value[value] if item[2] != rec_id]
+            _drop_empty(per_value, value)
+        _drop_empty(per_args, args)
         return True
 
     def forget(self, boundary: int):
         """Drop all content at or before `boundary`; straddling intervals keep
         only the part strictly after it."""
-        for name, per_args in self.events.items():
-            for args, slot in per_args.items():
-                kept = []
+        for per_args in self.events.values():
+            for args, slot in list(per_args.items()):
                 for t, rec_id in slot:
-                    if t > boundary:
-                        kept.append((t, rec_id))
-                    else:
+                    if t <= boundary:
                         self.by_id.pop(rec_id, None)
-                slot[:] = kept
-        for name, per_args in self.durative.items():
-            for args, per_value in per_args.items():
-                for value, slot in per_value.items():
+                per_args[args] = [item for item in slot if item[0] > boundary]
+                _drop_empty(per_args, args)
+        for per_args in self.durative.values():
+            for args, per_value in list(per_args.items()):
+                for value, slot in list(per_value.items()):
                     kept = []
                     for item in slot:
-                        start, end, rec_id = item
-                        e = math.inf if end is OPEN else end
-                        if e <= boundary + 1:
-                            self.by_id.pop(rec_id, None)
+                        if item[1] is not OPEN and item[1] <= boundary + 1:
+                            self.by_id.pop(item[2], None)
                         else:
-                            if start <= boundary:
-                                item[0] = boundary + 1
+                            item[0] = max(item[0], boundary + 1)
                             kept.append(item)
-                    slot[:] = kept
+                    per_value[value] = kept
+                    _drop_empty(per_value, value)
+                _drop_empty(per_args, args)
 
     def event_times(self, name: str, args: tuple) -> list[int]:
         slot = self.events.get(name, {}).get(args)
@@ -184,52 +179,51 @@ class SdeStore:
 
     def fluent_intervals(self, name: str, args: tuple, value) -> IntervalList:
         slot = self.durative.get(name, {}).get(args, {}).get(value)
-        if not slot:
-            return []
-        return iv.normalize([(s, e) for s, e, _ in slot])
+        return iv.normalize([(s, e) for s, e, _ in slot]) if slot else []
 
     def min_content(self) -> Optional[int]:
         """Earliest stored time-point, for bounded-memory checks."""
-        lo = math.inf
-        for per_args in self.events.values():
-            for slot in per_args.values():
-                for t, _ in slot:
-                    lo = min(lo, t)
-        for per_args in self.durative.values():
-            for per_value in per_args.values():
-                for slot in per_value.values():
-                    for s, _e, _id in slot:
-                        lo = min(lo, s)
-        return None if lo == math.inf else int(lo)
+        times = [t for per_args in self.events.values() for slot in per_args.values()
+                 for t, _id in slot]
+        times += [s for per_args in self.durative.values() for per_value in per_args.values()
+                  for slot in per_value.values() for s, _e, _id in slot]
+        return min(times, default=None)
 
     def snapshot(self) -> tuple[list, dict]:
         """(events, durative) copy for offline re-evaluation in tests."""
-        events = []
-        for name, per_args in self.events.items():
-            for args, slot in per_args.items():
-                events.extend((name, args, t) for t, _ in slot)
-        durative = {}
-        for name, per_args in self.durative.items():
-            for args, per_value in per_args.items():
-                for value, slot in per_value.items():
-                    if slot:
-                        durative[(name, args, value)] = iv.normalize(
-                            [(s, e) for s, e, _ in slot]
-                        )
+        events = [(name, args, t) for name, per_args in self.events.items()
+                  for args, slot in per_args.items() for t, _id in slot]
+        durative = {(name, args, value): iv.normalize([(s, e) for s, e, _ in slot])
+                    for name, per_args in self.durative.items()
+                    for args, per_value in per_args.items() for value, slot in per_value.items()}
         return events, durative
+
+
+def _drop_empty(container: dict, key):
+    if not container[key]:
+        del container[key]
 
 
 # ---------------------------------------------------------------------------
 # Engine
 
 
+class _QueryState:
+    """What the compiled plans read while a query runs.  Plans hold this, not
+    the engine, so an engine is in no reference cycle and is freed when dropped."""
+
+    def __init__(self, store: SdeStore):
+        self.store, self.qi, self.lo = store, 0, 0
+        self.derived: dict[str, dict] = {}  # name -> args -> value -> intervals
+        self.events: dict[str, dict] = {}  # name -> args -> times of a derived event
+        self.memo: dict[tuple, IntervalList] = {}  # input intervals clipped at Qi
+        self.live: set[tuple] = set()  # groundings a termination plan runs over
+        self.indexes: dict[tuple, dict] = {}  # emptied after each scheduled item
+
+
 class Engine:
-    def __init__(
-        self,
-        ed: EventDescription,
-        cfg: EngineConfig,
-        pair_filter: Optional[set[tuple]] = None,
-    ):
+    def __init__(self, ed: EventDescription, cfg: EngineConfig,
+                 pair_filter: Optional[set[tuple]] = None):
         if ed.rules and not ed.levels:
             raise ConfigError("event description must be stratified before use")
         self.ed = ed
@@ -239,25 +233,13 @@ class Engine:
         self.diagnostics: list[str] = []
         self.history: list[tuple] = []  # (name, args, value, start, end, evicted_at)
         self.next_q = cfg.step
-        self.kept_starts: dict[tuple, int] = {}
-        self.sd_prefixes: dict[tuple, tuple[int, int]] = {}
         self.prev_cache: dict[tuple, dict] = {}
-        self._cache: dict[tuple, dict] = {}
-        self._event_cache: dict[tuple, list[int]] = {}
-        self._input_memo: dict[tuple, IntervalList] = {}
-
-        self._init_rules: dict[str, list[Rule]] = {}
-        self._term_rules: dict[str, list[Rule]] = {}
-        self._hf_rules: dict[str, list[Rule]] = {}
-        self._ev_rules: dict[str, list[Rule]] = {}
-        for rule in ed.rules:
-            group = {
-                INITIATED: self._init_rules,
-                TERMINATED: self._term_rules,
-                HOLDS_FOR: self._hf_rules,
-                HAPPENS: self._ev_rules,
-            }[rule.kind]
-            group.setdefault(rule.head.name, []).append(rule)
+        self._cache: dict[tuple, dict] = {}  # (name, args) -> value -> intervals
+        self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
+        # name -> args -> value -> kept start, or retained SD prefix, across the boundary
+        self._kept: dict[str, dict] = {}
+        self._prefixes: dict[str, dict] = {}
+        self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
 
         self._grounded: dict[str, set[tuple]] = {}
         for name in set(ed.groundings) | {r.head.name for r in ed.rules}:
@@ -266,80 +248,60 @@ class Engine:
             if pair_filter is not None and decl and decl.arity == 2:
                 tuples &= pair_filter
             self._grounded[name] = tuples
-        self._grounded_sorted = {name: sorted(t) for name, t in self._grounded.items()}
-        # per-argument-position index, to ground a partially bound head without
-        # scanning the whole pair domain
-        self._grounded_index: dict[str, list[dict]] = {}
-        for name, tuples in self._grounded_sorted.items():
-            arity = len(tuples[0]) if tuples else 0
-            index: list[dict] = [{} for _ in range(arity)]
-            for tup in tuples:
-                for pos, val in enumerate(tup):
-                    index[pos].setdefault(val, []).append(tup)
-            self._grounded_index[name] = index
 
-        # holdsFor body literals that must be nonempty for the rule to produce
-        # anything (their interval feeds the output through intersections)
-        self._required_hf: dict[int, list[HoldsFor]] = {}
-        for rules in self._hf_rules.values():
-            for rule in rules:
-                self._required_hf[id(rule)] = _required_literals(rule)
+        self._plans: dict = {kind: {} for kind in (INITIATED, TERMINATED, HOLDS_FOR, HAPPENS)}
+        for rule in ed.rules:
+            plan = self._compile_sd(rule) if rule.kind == HOLDS_FOR else self._compile_point(rule)
+            value = getattr(rule.head, "value", None)
+            self._plans[rule.kind].setdefault(rule.head.name, []).append((value, plan))
 
         schedule = []
         for name in {r.head.name for r in ed.rules}:
-            if name in self._ev_rules:
-                schedule.append((ed.event_level(name), "event", name))
+            if name in self._plans[HAPPENS]:
+                schedule.append((ed.event_level(name), "event", name, Engine._compute_events))
             else:
-                schedule.append((ed.fluent_level(name), "fluent", name))
-        self._schedule = [item[1:] for item in sorted(schedule)]
+                simple = ed.kind_of(name) == "simple"
+                compute = Engine._compute_simple_fluent if simple else Engine._compute_sd_fluent
+                schedule.append((ed.fluent_level(name), "fluent", name, compute))
+        self._schedule = [item[2:] for item in sorted(schedule, key=lambda item: item[:3])]
 
         # value declaration order per simple fluent, for initiation tie-breaks
-        self._value_order: dict[str, list] = {
-            name: ed.fluent_values(name) for name in self._init_rules
-        }
+        self._value_order = {name: ed.fluent_values(name) for name in self._plans[INITIATED]}
+
+    kept_starts = property(lambda self: _flatten(self._kept),
+                           doc="(name, args, value) -> start kept across the boundary")
+    sd_prefixes = property(lambda self: _flatten(self._prefixes),
+                           doc="(name, args, value) -> SD prefix kept across the boundary")
 
     # -- input ---------------------------------------------------------------
 
     def ingest(self, records: Iterable) -> int:
         """Buffer input records; they take effect at the next query."""
-        count = 0
-        for rec in records:
-            self.pending.append(rec)
-            count += 1
-        return count
+        before = len(self.pending)
+        self.pending.extend(records)
+        return len(self.pending) - before
 
     def _apply(self, rec, boundary: int):
+        note = self.diagnostics.append
         if rec.action in ("retract", "update"):
             if not self.store.remove(rec.id):
-                self.diagnostics.append(
-                    f"{rec.action} of unknown or already-forgotten record id {rec.id!r}"
-                )
+                note(f"{rec.action} of unknown or already-forgotten record id {rec.id!r}")
             if rec.action == "retract":
                 return
+        late = f"at or before the window start {boundary}; dropped"
         if rec.kind == "event":
             if rec.t <= boundary:
-                self.diagnostics.append(
-                    f"record {rec.id!r} occurred at {rec.t}, at or before the window "
-                    f"start {boundary}; dropped"
-                )
-                return
-            if not self.store.add_event(rec.id, rec.name, tuple(rec.args), rec.t):
-                self.diagnostics.append(f"duplicate assert for record id {rec.id!r}; ignored")
+                note(f"record {rec.id!r} occurred at {rec.t}, {late}")
+            elif not self.store.add_event(rec.id, rec.name, tuple(rec.args), rec.t):
+                note(f"duplicate assert for record id {rec.id!r}; ignored")
         elif rec.kind == "interval":
-            end = rec.end
-            if end is not OPEN and end <= boundary + 1:
-                self.diagnostics.append(
-                    f"record {rec.id!r} ended at {end}, at or before the window "
-                    f"start {boundary}; dropped"
-                )
-                return
-            ok = self.store.add_interval(
-                rec.id, rec.name, tuple(rec.args), rec.value, rec.start, end
-            )
-            if not ok:
-                self.diagnostics.append(f"duplicate assert for record id {rec.id!r}; ignored")
+            if rec.end is not OPEN and rec.end <= boundary + 1:
+                note(f"record {rec.id!r} ended at {rec.end}, {late}")
+            elif not self.store.add_interval(rec.id, rec.name, tuple(rec.args), rec.value,
+                                             rec.start, rec.end):
+                note(f"duplicate assert for record id {rec.id!r}; ignored")
         else:
-            self.diagnostics.append(
+            note(
                 f"record {rec.id!r} of kind {rec.kind!r} is not an engine input; "
                 "coordinate samples must be preprocessed into closeness fluents"
             )
@@ -358,27 +320,22 @@ class Engine:
 
         self._roll_boundary(boundary)
 
-        self._cache = {}
-        self._event_cache = {}
-        self._input_memo = {}
-        for kind, name in self._schedule:
-            if kind == "event":
-                self._compute_events(name, qi, boundary)
-            elif self.ed.kind_of(name) == "simple":
-                self._compute_simple_fluent(name, qi, boundary)
-            else:
-                self._compute_sd_fluent(name, qi, boundary)
+        state = self._state
+        state.qi, state.lo = qi, boundary + 1
+        self._cache, state.derived, state.events, state.memo = {}, {}, {}, {}
+        for name, compute in self._schedule:
+            compute(self, name)
+            state.indexes.clear()  # later items may read what this one wrote
 
         entries = self._classify(qi)
-        reported = self._filter(entries)
+        reported = select_reported(entries, self.cfg.mode)
         self.prev_cache = self._cache
         self.next_q = qi + self.cfg.step
         return RecognitionResult(qi, entries, reported)
 
     def _roll_boundary(self, boundary: int):
         """Evict finished intervals and record crossing-interval bookkeeping."""
-        self.kept_starts = {}
-        self.sd_prefixes = {}
+        self._kept, self._prefixes = {}, {}
         for (name, args), per_value in self.prev_cache.items():
             simple = self.ed.kind_of(name) == "simple"
             for value, ilist in per_value.items():
@@ -390,177 +347,187 @@ class Engine:
                         # the initiating point s-1 is gone once it falls at or
                         # before the boundary; remember the start instead
                         if s <= boundary + 1:
-                            self.kept_starts[(name, args, value)] = s
+                            self._kept.setdefault(name, {}).setdefault(args, {})[value] = s
                     elif s <= boundary:
-                        self.sd_prefixes[(name, args, value)] = (s, boundary + 1)
+                        kept = self._prefixes.setdefault(name, {}).setdefault(args, {})
+                        kept[value] = (s, boundary + 1)
+
+    # -- rule plans ----------------------------------------------------------
+
+    def _compile_point(self, rule: Rule) -> Callable[[], list]:
+        """Compile an initiatedAt, terminatedAt or happensAt rule into a function
+        returning its solutions' (head arguments, T) pairs.  Each step binds its
+        new variables in a slot list and calls the next step once per match."""
+        name, head, state = rule.head.name, rule.head.args, self._state
+        slots: dict[str, int] = {}
+        steps = []
+        if rule.kind == TERMINATED:
+            # a grounding with neither an initiation nor a kept start cannot
+            # hold, so only the live ones need their terminations
+            steps.append(_join(lambda: state.live, head, slots, ("live", name), state.indexes))
+        steps += [self._step(lit, slots) for lit in _join_order(rule, set(slots))]
+        grounded = self._grounded.get(name, set())
+        check = name in self.ed.groundings and rule.kind != TERMINATED
+        if any(is_var(a) and a not in slots for a in head):
+            # the body leaves head variables free: the rule fires for every
+            # grounding that matches the bound part
+            steps.append(_join(lambda: grounded, head, slots, name, self._domain_indexes))
+            check = False
+        if rule.head_var not in slots:
+            raise EvaluationError(f"time variable {rule.head_var!r} left unbound in {rule}")
+        build = _builder([(slots[a], None) if is_var(a) else (None, a) for a in head])
+        tslot, out = slots[rule.head_var], len(slots)
+
+        def sink(env):
+            args = build(env)
+            if not check or args in grounded:
+                env[out].append((args, env[tslot]))
+
+        step = sink
+        for make in reversed(steps):
+            step = make(step)
+
+        def solve() -> list:
+            env = [None] * out + [[]]
+            step(env)
+            return env[out]
+
+        return solve
+
+    def _step(self, lit, slots: dict) -> Callable:
+        """Compile one body literal, given the variables bound before it, into
+        a function from the next step to this one."""
+        state = self._state
+        if isinstance(lit, Comparison):
+            pair = _builder([(slots[x], None) if is_var(x) else (None, x) for x in _terms_of(lit)])
+            return lambda nxt: lambda env: _compare(lit.op, *pair(env)) and nxt(env)
+        if isinstance(lit, HoldsAt):
+            (rows, intervals), tslot = self._fluent(lit.fluent), slots[lit.time]
+            join = _join(rows, lit.fluent.args, slots, lit.fluent.name, state.indexes)
+            return lambda nxt: join(
+                nxt, lambda env, args: iv.holds_at(intervals(args), env[tslot]) and nxt(env)
+            )
+        event = lit.event
+        name = getattr(event, "fluent", event).name
+        if isinstance(event, BoundaryEvent):
+            rows, intervals = self._fluent(event.fluent)
+            which = f"{event.which}_points"
+            points = lambda args: getattr(iv, which)(intervals(args))  # noqa: E731
+        elif self.ed.kind_of(name) == "input_event":
+            rows = lambda: state.store.events.get(name, _NONE)  # noqa: E731
+            points = lambda args: [t for t, _id in rows()[args]]  # noqa: E731
+        else:
+            rows = lambda: state.events.get(name, _NONE)  # noqa: E731
+            points = lambda args: rows()[args]  # noqa: E731
+        join = _join(rows, _terms_of(lit), slots, name, state.indexes)
+        bound = lit.time in slots  # before this literal, or by its own arguments
+        tslot = slots.setdefault(lit.time, len(slots))
+
+        def make(nxt):
+            def expand(env, args):
+                # with the time bound, only check that the event happens then
+                lo, hi = (env[tslot],) * 2 if bound else (state.lo, state.qi)
+                for t in points(args):
+                    if lo <= t <= hi:
+                        env[tslot] = t
+                        nxt(env)
+
+            return join(nxt, expand)
+
+        return make
+
+    def _fluent(self, fv: FluentValue) -> tuple[Callable, Callable]:
+        """rows() of a fluent's argument tuples at this query, each mapped to
+        its value -> content dict, and args -> the intervals of fv's value.
+        Input intervals are clipped at Qi: the window never looks past it."""
+        name, value, state = fv.name, fv.value, self._state
+        if not self.ed.is_input(name):
+            rows = lambda: state.derived.get(name, _NONE)  # noqa: E731
+            return rows, lambda args: rows().get(args, _NONE).get(value, [])
+
+        def clipped(args):
+            memo = state.memo.get((name, args, value))
+            if memo is None:
+                raw = state.store.fluent_intervals(name, args, value)
+                memo = state.memo[(name, args, value)] = iv.clip_before(raw, state.qi)[0]
+            return memo
+
+        return (lambda: state.store.durative.get(name, _NONE)), clipped
+
+    def _compile_sd(self, rule: Rule) -> tuple:
+        """Compile a holdsFor rule into (sources, fits, evaluate): evaluate maps
+        a head grounding to the body's intervals (None if a required conjunct
+        is empty).  A source (rows, value, arity, to_head, to_key) is a
+        required input whose variables are the head's."""
+        head, state = rule.head.args, self._state
+        first = {t: pos for pos, t in reversed(list(enumerate(head))) if is_var(t)}
+
+        def over_head(terms):
+            free = [t for t in terms if is_var(t) and t not in first]
+            if free:
+                raise EvaluationError(f"variable {free[0]!r} is not in the head of {rule}")
+            return _builder([(first[t], None) if is_var(t) else (None, t) for t in terms])
+
+        required = _required_literals(rule)
+        body, sources = [], []
+        for lit in rule.body:
+            if isinstance(lit, HoldsFor):
+                (rows, intervals), fv = self._fluent(lit.fluent), lit.fluent
+                body.append((lit, over_head(fv.args), intervals, lit in required))
+                at = {t: pos for pos, t in reversed(list(enumerate(fv.args))) if is_var(t)}
+                if lit in required and at.keys() == first.keys():
+                    to_head = _builder([(at[t], None) if is_var(t) else (None, t) for t in head])
+                    sources.append((rows, fv.value, len(fv.args), to_head, body[-1][1]))
+            elif isinstance(lit, Comparison):
+                body.append((lit, over_head(_terms_of(lit)), None, False))
+            elif isinstance(lit, (IntervalUnion, IntervalIntersection, IntervalComplement)):
+                body.append((lit, None, None, False))
+            else:
+                raise EvaluationError(f"literal {lit} is not supported in holdsFor rules")
+
+        def evaluate(args: tuple) -> Optional[IntervalList]:
+            env: dict[str, IntervalList] = {}
+            for lit, key, intervals, needed in body:
+                if intervals is not None:
+                    ilist = intervals(key(args))
+                    if needed and not ilist:
+                        return None
+                    env[lit.interval] = _materialize(ilist, state.qi)
+                elif key is not None:
+                    if not _compare(lit.op, *key(args)):
+                        return None
+                elif isinstance(lit, IntervalComplement):
+                    removed = [_need(env, v, rule) for v in lit.removed]
+                    env[lit.out] = iv.relative_complement_all(_need(env, lit.base, rule), removed)
+                else:
+                    combine = iv.union_all if isinstance(lit, IntervalUnion) else iv.intersect_all
+                    env[lit.out] = combine([_need(env, v, rule) for v in lit.inputs])
+            return _need(env, rule.head_var, rule)
+
+        canon = over_head(head)
+        return sources, lambda args: len(args) == len(head) and canon(args) == args, evaluate
 
     # -- evaluation ----------------------------------------------------------
 
-    def _holds_for(self, name: str, args: tuple, value, qi: int) -> IntervalList:
-        if self.ed.is_input(name):
-            key = (name, args, value)
-            memo = self._input_memo.get(key)
-            if memo is None:
-                raw = self.store.fluent_intervals(name, args, value)
-                memo, _ = iv.clip_before(raw, qi)  # the window never looks past Qi
-                self._input_memo[key] = memo
-            return memo
-        return self._cache.get((name, args), {}).get(value, [])
+    def _slot(self, name: str, args: tuple) -> dict:
+        """This query's value -> intervals dict of one grounding."""
+        slot = self._cache.setdefault((name, args), {})
+        return self._state.derived.setdefault(name, {}).setdefault(args, slot)
 
-    def _fluent_instances(self, name: str) -> Iterable[tuple]:
-        """Argument tuples for which `name` currently has any content."""
-        if self.ed.is_input(name):
-            return self.store.durative.get(name, {}).keys()
-        return [args for (n, args) in self._cache if n == name]
-
-    def _answers(self, lit, bindings: dict, qi: int, boundary: int):
-        lo = boundary + 1
-        if isinstance(lit, HappensAt):
-            tvar = lit.time
-            bound_t = bindings.get(tvar) if is_var(tvar) else tvar
-            if isinstance(lit.event, BoundaryEvent):
-                fv = lit.event.fluent
-                args = tuple(bindings.get(a, a) for a in fv.args)
-                if any(is_var(a) for a in args):
-                    candidates = [
-                        (cand, nb)
-                        for cand in self._fluent_instances(fv.name)
-                        if (nb := _match(args, cand, bindings)) is not None
-                    ]
-                else:
-                    candidates = [(args, bindings)]
-                for cand, nb in candidates:
-                    ilist = self._holds_for(fv.name, cand, fv.value, qi)
-                    pts = (
-                        iv.start_points(ilist)
-                        if lit.event.which == "start"
-                        else iv.end_points(ilist)
-                    )
-                    for t in pts:
-                        if t < lo or t > qi:
-                            continue
-                        t_bound = nb.get(tvar) if is_var(tvar) else tvar
-                        if t_bound is not None:
-                            if t == t_bound:
-                                yield nb
-                        else:
-                            yield {**nb, tvar: t}
-                return
-            name, pattern = lit.event.name, lit.event.args
-            source = (
-                self.store.events.get(name, {})
-                if self.ed.kind_of(name) == "input_event"
-                else {
-                    args: self._event_cache.get((name, args), [])
-                    for (n, args) in self._event_cache
-                    if n == name
-                }
-            )
-            for args, slot in source.items():
-                nb = _match(pattern, args, bindings)
-                if nb is None:
-                    continue
-                times = [t for t, _ in slot] if slot and isinstance(slot[0], tuple) else slot
-                for t in times:
-                    if t < lo or t > qi:
-                        continue
-                    t_bound = nb.get(tvar) if is_var(tvar) else tvar
-                    if t_bound is not None:
-                        if t == t_bound:
-                            yield nb
-                    else:
-                        yield {**nb, tvar: t}
-            return
-        if isinstance(lit, HoldsAt):
-            t = bindings.get(lit.time) if is_var(lit.time) else lit.time
-            if t is None:
-                raise EvaluationError(f"time variable {lit.time!r} unbound in {lit}")
-            fv = lit.fluent
-            args = tuple(bindings.get(a, a) for a in fv.args)
-            if any(is_var(a) for a in args):
-                for cand in self._fluent_instances(fv.name):
-                    nb = _match(args, cand, bindings)
-                    if nb is None:
-                        continue
-                    if iv.holds_at(self._holds_for(fv.name, cand, fv.value, qi), t):
-                        yield nb
-            else:
-                if iv.holds_at(self._holds_for(fv.name, args, fv.value, qi), t):
-                    yield bindings
-            return
-        if isinstance(lit, Comparison):
-            left = bindings.get(lit.left, lit.left) if is_var(lit.left) else lit.left
-            right = bindings.get(lit.right, lit.right) if is_var(lit.right) else lit.right
-            if is_var(left) or is_var(right):
-                raise EvaluationError(f"unbound variable in comparison {lit}")
-            if _compare(left, lit.op, right):
-                yield bindings
-            return
-        raise EvaluationError(f"literal {lit} is not allowed in this rule kind")
-
-    def _solutions(self, body: tuple, bindings: dict, qi: int, boundary: int):
-        if not body:
-            yield bindings
-            return
-        for nb in self._answers(body[0], bindings, qi, boundary):
-            yield from self._solutions(body[1:], nb, qi, boundary)
-
-    def _head_groundings(self, rule: Rule, qi: int, boundary: int):
-        """Data-driven evaluation: yield (head_args, T) per rule solution."""
-        grounded = self._grounded.get(rule.head.name, set())
-        # heads without a grounding declaration (derived events) are unrestricted
-        restrict = rule.head.name in self.ed.groundings
-        for sol in self._solutions(rule.body, {}, qi, boundary):
-            t = sol.get(rule.head_var)
-            if t is None:
-                raise EvaluationError(
-                    f"time variable {rule.head_var!r} left unbound by the body of "
-                    f"the rule for {rule.head}"
-                )
-            if t <= boundary or t > qi:
-                continue
-            args = tuple(sol.get(a, a) if is_var(a) else a for a in rule.head.args)
-            if any(is_var(a) for a in args):
-                # the body does not constrain every head variable: the rule
-                # fires for every grounding that matches the bound part
-                for cand in self._ground_candidates(rule.head.name, args):
-                    if _match(args, cand, sol) is not None:
-                        yield cand, t
-                continue
-            if restrict and args not in grounded:
-                continue
-            yield args, t
-
-    def _ground_candidates(self, name: str, pattern: tuple) -> list[tuple]:
-        """Grounded tuples worth matching against a partially bound pattern."""
-        index = self._grounded_index.get(name)
-        best = None
-        if index:
-            for pos, term in enumerate(pattern):
-                if not is_var(term):
-                    bucket = index[pos].get(term, [])
-                    if best is None or len(bucket) < len(best):
-                        best = bucket
-        if best is not None:
-            return best
-        return self._grounded_sorted.get(name, [])
-
-    def _compute_simple_fluent(self, name: str, qi: int, boundary: int):
+    def _compute_simple_fluent(self, name: str):
         starts: dict[tuple, dict] = {}
-        terms: dict[tuple, dict] = {}
-        for rule in self._init_rules.get(name, []):
-            value = rule.head.value
-            for args, t in self._head_groundings(rule, qi, boundary):
+        for value, solve in self._plans[INITIATED].get(name, []):
+            for args, t in solve():
                 starts.setdefault(args, {}).setdefault(value, set()).add(t)
-        for rule in self._term_rules.get(name, []):
-            value = rule.head.value
-            for args, t in self._head_groundings(rule, qi, boundary):
+        kept = self._kept.get(name, {})
+        live = self._state.live = starts.keys() | kept.keys()
+        terms: dict[tuple, dict] = {}
+        for value, solve in self._plans[TERMINATED].get(name, []):
+            for args, t in solve():
                 terms.setdefault(args, {}).setdefault(value, set()).add(t)
 
-        all_args = set(starts) | set(terms)
-        all_args.update(args for (n, args, _v) in self.kept_starts if n == name)
         order = self._value_order.get(name, [])
-        for args in all_args:
+        for args in live:
             per_value = starts.get(args, {})
             # simultaneous initiations of two values: first-declared value wins
             by_time: dict[int, list] = {}
@@ -576,109 +543,68 @@ class Engine:
                             f"simultaneous initiation of {name}{args} values "
                             f"{values[0]!r} and {loser!r} at {t}; kept {values[0]!r}"
                         )
-            values = list(per_value)
-            for (n, a, v) in self.kept_starts:
-                if n == name and a == args and v not in values:
-                    values.append(v)
+            kept_here = kept.get(args, {})
             result: dict = {}
-            for value in values:
+            for value in list(per_value) + [v for v in kept_here if v not in per_value]:
                 st = set(per_value.get(value, ()))
-                kept = self.kept_starts.get((name, args, value))
-                if kept is not None:
-                    st.add(kept - 1)
+                if value in kept_here:
+                    st.add(kept_here[value] - 1)
                 br = set(terms.get(args, {}).get(value, ()))
                 for other, ts in per_value.items():
                     if other != value:
                         br.update(ts)
-                ilist = iv.make_intervals(sorted(st), sorted(br), now=qi)
+                ilist = iv.make_intervals(sorted(st), sorted(br), now=self._state.qi)
                 if ilist:
                     result[value] = ilist
             if result:
-                self._cache[(name, args)] = result
+                self._slot(name, args).update(result)
 
-    def _compute_sd_fluent(self, name: str, qi: int, boundary: int):
+    def _compute_sd_fluent(self, name: str):
         per_args: dict[tuple, dict] = {}
-        for rule in self._hf_rules.get(name, []):
-            value = rule.head.value
-            required = self._required_hf.get(id(rule), [])
-            for args in self._grounded_sorted.get(name, []):
-                bindings = _match(rule.head.args, args, {})
-                if bindings is None:
-                    continue
-                if any(self._surely_empty(lit, bindings) for lit in required):
-                    continue
-                fresh = self._eval_holds_for_body(rule, bindings, qi)
-                if fresh is None:
-                    continue
-                slot = per_args.setdefault(args, {})
-                slot[value] = iv.union_all([slot.get(value, []), fresh])
+        for value, (sources, fits, evaluate) in self._plans[HOLDS_FOR].get(name, []):
+            for args in self._sd_groundings(name, sources, fits):
+                fresh = evaluate(args)
+                if fresh is not None:
+                    slot = per_args.setdefault(args, {})
+                    slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
+        prefixes = self._prefixes.get(name, {})
         for args, per_value in per_args.items():
             result = {}
             for value, ilist in per_value.items():
-                _, fresh = iv.clip_before(ilist, boundary)
-                prefix = self.sd_prefixes.get((name, args, value))
+                _, fresh = iv.clip_before(ilist, self._state.lo - 1)
+                prefix = prefixes.get(args, {}).get(value)
                 if prefix is not None:
                     fresh = iv.amalgamate([prefix], fresh)
-                fresh = _reopen(fresh, qi)
+                fresh = _reopen(fresh, self._state.qi)
                 if fresh:
                     result[value] = fresh
             if result:
-                existing = self._cache.setdefault((name, args), {})
-                existing.update(result)
+                self._slot(name, args).update(result)
         # a retained prefix with no fresh continuation must still be reported
-        for (n, args, value), prefix in self.sd_prefixes.items():
-            if n != name:
-                continue
-            slot = self._cache.setdefault((name, args), {})
-            if value not in slot:
-                slot[value] = [prefix]
+        for args, per_value in prefixes.items():
+            for value, prefix in per_value.items():
+                self._slot(name, args).setdefault(value, [prefix])
 
-    def _surely_empty(self, lit: HoldsFor, bindings: dict) -> bool:
-        """Cheap pre-check: a required conjunct with no stored or derived
-        content makes the whole body empty."""
-        fv = lit.fluent
-        args = tuple(bindings.get(a, a) for a in fv.args)
-        if any(is_var(a) for a in args):
-            return False
-        if self.ed.is_input(fv.name):
-            return not self.store.durative.get(fv.name, {}).get(args, {}).get(fv.value)
-        return not self._cache.get((fv.name, args), {}).get(fv.value)
+    def _sd_groundings(self, name: str, sources: list, fits: Callable) -> list[tuple]:
+        """Groundings from the keys with content of the sparsest source, else all."""
+        grounded = self._grounded.get(name, set())
+        if not sources:
+            return [args for args in grounded if fits(args)]
+        rows, value, arity, to_head, to_key = min(sources, key=lambda src: len(src[0]()))
+        out = []
+        for key, content in rows().items():
+            if len(key) == arity and content.get(value):
+                args = to_head(key)
+                if args in grounded and to_key(args) == key:
+                    out.append(args)
+        return out
 
-    def _eval_holds_for_body(self, rule: Rule, bindings: dict, qi: int) -> Optional[IntervalList]:
-        env: dict[str, IntervalList] = {}
-        for lit in rule.body:
-            if isinstance(lit, HoldsFor):
-                args = tuple(bindings.get(a, a) for a in lit.fluent.args)
-                if any(is_var(a) for a in args):
-                    raise EvaluationError(
-                        f"unbound argument in {lit} of the rule for {rule.head}"
-                    )
-                ilist = self._holds_for(lit.fluent.name, args, lit.fluent.value, qi)
-                env[lit.interval] = _materialize(ilist, qi)
-            elif isinstance(lit, IntervalUnion):
-                env[lit.out] = iv.union_all([_need(env, v, rule) for v in lit.inputs])
-            elif isinstance(lit, IntervalIntersection):
-                env[lit.out] = iv.intersect_all([_need(env, v, rule) for v in lit.inputs])
-            elif isinstance(lit, IntervalComplement):
-                env[lit.out] = iv.relative_complement_all(
-                    _need(env, lit.base, rule), [_need(env, v, rule) for v in lit.removed]
-                )
-            elif isinstance(lit, Comparison):
-                if not any(True for _ in self._answers(lit, bindings, qi, qi)):
-                    return None
-            else:
-                raise EvaluationError(
-                    f"literal {lit} is not supported in holdsFor rules ({rule.head})"
-                )
-        return _need(env, rule.head_var, rule)
-
-    def _compute_events(self, name: str, qi: int, boundary: int):
+    def _compute_events(self, name: str):
         occurrences: dict[tuple, set[int]] = {}
-        for rule in self._ev_rules.get(name, []):
-            for args, t in self._head_groundings(rule, qi, boundary):
+        for _value, solve in self._plans[HAPPENS].get(name, []):
+            for args, t in solve():
                 occurrences.setdefault(args, set()).add(t)
-        for args, ts in occurrences.items():
-            self._event_cache[(name, args)] = sorted(ts)
+        self._state.events[name] = {args: sorted(ts) for args, ts in occurrences.items()}
 
     # -- reporting -----------------------------------------------------------
 
@@ -688,47 +614,125 @@ class Engine:
         for (name, args), per_value in self._cache.items():
             for value, ilist in per_value.items():
                 for s, e in ilist:
-                    if e is OPEN:
-                        stability = "open"
-                    elif e <= next_boundary:
-                        stability = "final"
-                    elif s <= next_boundary:
-                        stability = "partial"
-                    else:
-                        # both bounds may still be retracted: least stable class
-                        stability = "open"
+                    # an interval starting after the next boundary may still be
+                    # retracted whole: it is open, the least stable class
+                    stability = (
+                        "open" if e is OPEN or s > next_boundary
+                        else "final" if e <= next_boundary else "partial"
+                    )
                     entries.append(ResultEntry(name, args, value, s, e, stability))
         entries.sort(key=lambda en: (en.name, en.args, str(en.value), en.start))
         return entries
 
-    def _filter(self, entries: list[ResultEntry]) -> list[ResultEntry]:
-        if self.cfg.mode == "asap":
-            return list(entries)
-        if self.cfg.mode == "partial_stable":
-            return [e for e in entries if e.stability in ("partial", "final")]
-        return [e for e in entries if e.stability == "final"]
+
+# ---------------------------------------------------------------------------
+# Plan building blocks
+
+_NONE: dict = {}  # the empty mapping that lookups fall back to; never written
 
 
-def _match(pattern: tuple, args: tuple, bindings: dict) -> Optional[dict]:
-    """Unify a term tuple against a constant tuple; None on mismatch."""
-    if len(pattern) != len(args):
-        return None
-    out = bindings
-    for p, a in zip(pattern, args):
-        if is_var(p):
-            known = out.get(p)
-            if known is None:
-                if out is bindings:
-                    out = dict(bindings)
-                out[p] = a
-            elif known != a:
-                return None
-        elif p != a:
-            return None
-    return out
+def _flatten(by_name: dict) -> dict:
+    """name -> args -> value -> x, as (name, args, value) -> x."""
+    return {(name, args, value): x for name, per_args in by_name.items()
+            for args, per_value in per_args.items() for value, x in per_value.items()}
 
 
-def _compare(left, op: str, right) -> bool:
+def _builder(parts: list) -> Callable:
+    """A function from a sequence (a slot list or a grounding) to a tuple
+    with one item per part: (index, _) reads the sequence, (None, c) is c."""
+    if any(index is None for index, _c in parts) or len(parts) < 2:
+        return lambda seq: tuple([c if index is None else seq[index] for index, c in parts])
+    return itemgetter(*(index for index, _c in parts))
+
+
+def _join(rows: Callable, terms: tuple, slots: dict, tag, indexes: dict):
+    """The step over the tuples of rows() that agree with the bound ones among
+    `terms`: one probe when all are bound, else a lookup in an index by the bound
+    positions.  Per tuple it binds the new variables, then calls expand or next."""
+    key, binds, same = _split(terms, slots)
+    arity, positions = len(terms), tuple(pos for pos, _s, _c in key)
+    build, tag = _builder([(slot, c) for _pos, slot, c in key]), (tag, positions)
+
+    def find(env):
+        if len(positions) == arity:
+            args = build(env)
+            return (args,) if args in rows() else ()
+        index = indexes.get(tag)
+        if index is None:
+            index = indexes[tag] = {}
+            for args in rows():
+                if len(args) == arity:
+                    index.setdefault(tuple([args[p] for p in positions]), []).append(args)
+        return index.get(build(env), ())
+
+    def make(nxt, expand=None):
+        expand = expand or (lambda env, args: nxt(env))
+
+        def step(env):
+            for args in find(env):
+                if not same or all(args[p] == args[q] for p, q in same):
+                    for pos, slot in binds:
+                        env[slot] = args[pos]
+                    expand(env, args)
+
+        return step
+
+    return make
+
+
+def _split(terms: tuple, slots: dict) -> tuple[list, list, list]:
+    """Split a literal's arguments, given the variables bound before it, into
+    the lookup key [(position, slot or None, constant)], the new variables it
+    binds [(position, slot)] and repeats of a new variable [(position,
+    earlier position)].  New variables take the next free slots."""
+    key, same, seen = [], [], {}
+    for pos, term in enumerate(terms):
+        if not is_var(term):
+            key.append((pos, None, term))
+        elif term in slots:
+            key.append((pos, slots[term], None))
+        elif term in seen:
+            same.append((pos, seen[term]))
+        else:
+            seen[term] = pos
+    binds = [(pos, slots.setdefault(term, len(slots))) for term, pos in seen.items()]
+    return key, binds, same
+
+
+def _terms_of(lit) -> tuple:
+    if isinstance(lit, Comparison):
+        return (lit.left, lit.right)
+    return (getattr(lit, "fluent", None) or getattr(lit.event, "fluent", lit.event)).args
+
+
+def _join_order(rule: Rule, bound: set) -> list:
+    """The rule's body literals in evaluation order.  Of the literals whose
+    inputs are bound (a holdsAt's time, all of a comparison's arguments), the
+    next is the one binding the fewest new variables, then the one with the
+    most bound arguments, then the first written."""
+    pending, order, bound = list(rule.body), [], set(bound)
+    for lit in pending:
+        if not isinstance(lit, (HappensAt, HoldsAt, Comparison)):
+            raise EvaluationError(f"literal {lit} is not allowed in this rule kind")
+    while pending:
+        ready = []
+        for lit in pending:
+            terms = _terms_of(lit)
+            time = (lit.time,) if isinstance(lit, (HappensAt, HoldsAt)) else ()
+            new = {t for t in terms + time if is_var(t)} - bound
+            needs = {Comparison: terms, HoldsAt: time}.get(type(lit), ())
+            if not new.intersection(needs):
+                ready.append((len(new), -sum(t not in new for t in terms), lit, new))
+        if not ready:
+            raise EvaluationError(f"no binding reaches {pending[0]} in the rule for {rule.head}")
+        _new, _bound, lit, new = min(ready, key=lambda item: item[:2])
+        order.append(lit)
+        pending.remove(lit)
+        bound |= new
+    return order
+
+
+def _compare(op: str, left, right) -> bool:
     if op == "==":
         return left == right
     if op == "!=":
@@ -754,18 +758,12 @@ def _required_literals(rule: Rule) -> list[HoldsFor]:
                 required.add(lit.inputs[0])
         elif isinstance(lit, IntervalComplement) and lit.out in required:
             required.add(lit.base)
-    return [
-        lit for lit in rule.body
-        if isinstance(lit, HoldsFor) and lit.interval in required
-    ]
+    return [lit for lit in rule.body if isinstance(lit, HoldsFor) and lit.interval in required]
 
 
 def _need(env: dict, var: str, rule: Rule) -> IntervalList:
     if var not in env:
-        raise EvaluationError(
-            f"interval variable {var!r} unbound when applying a construct in the "
-            f"rule for {rule.head}"
-        )
+        raise EvaluationError(f"interval variable {var!r} unbound in the rule for {rule.head}")
     return env[var]
 
 
@@ -797,15 +795,12 @@ def run_stream(
     import time as _time
 
     engine = Engine(ed, cfg, pair_filter=pair_filter)
-    ordered = sorted(records, key=lambda r: (record_arrival(r), record_occurrence(r), r.id))
+    # stable on arrival alone: a retract has no occurrence time to order by
+    ordered = sorted(records, key=record_arrival)
     if last_q is None:
-        horizon = max(
-            (max(record_arrival(r), _content_end(r)) for r in ordered), default=0
-        )
+        horizon = max((max(record_arrival(r), _content_end(r)) for r in ordered), default=0)
         last_q = cfg.step * math.ceil((horizon + cfg.wm) / cfg.step)
-    results = []
-    idx = 0
-    qi = cfg.step
+    results, idx, qi = [], 0, cfg.step
     while qi <= last_q:
         lo = idx
         while idx < len(ordered) and record_arrival(ordered[idx]) <= qi:
@@ -821,6 +816,8 @@ def run_stream(
 
 
 def _content_end(rec) -> int:
+    if rec.action == "retract":
+        return 0  # no content: only its arrival counts towards the horizon
     if rec.kind == "interval":
         return rec.start if rec.end is OPEN else rec.end
     return rec.t

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .engine import RecognitionResult, ResultEntry, record_occurrence
+from .engine import RecognitionResult, ResultEntry, record_occurrence, select_reported
 from .language import EventDescription
 
 
@@ -315,20 +315,11 @@ def entry_to_json(entry: ResultEntry, q: int) -> dict:
 
 
 def write_results(results: Iterable[RecognitionResult], path, mode: str = "asap"):
-    """Emit recognised intervals as JSONL, filtered by reporting mode, ordered
-    by query time then fluent name, arguments and start."""
+    """Emit recognised intervals as JSONL, filtered by reporting mode, in the
+    engine's order: query time, then fluent name, arguments and start."""
     with open(path, "w", encoding="utf-8") as fh:
         for res in results:
-            if mode == "asap":
-                entries = res.entries
-            elif mode == "partial_stable":
-                entries = [e for e in res.entries if e.stability in ("partial", "final")]
-            elif mode == "final":
-                entries = [e for e in res.entries if e.stability == "final"]
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
-            ordered = sorted(entries, key=lambda e: (e.name, e.args, str(e.value), e.start))
-            for entry in ordered:
+            for entry in select_reported(res.entries, mode):
                 fh.write(json.dumps(entry_to_json(entry, res.q)) + "\n")
 
 

@@ -1,0 +1,12 @@
+"""Suite-wide test settings.
+
+Hypothesis examples here replay whole streams through the engine, which can
+take longer than hypothesis' default 200 ms deadline on a small host, so the
+deadline is off; the example count is fixed so that every run does the same
+amount of work.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("evrec", deadline=None, max_examples=40)
+settings.load_profile("evrec")

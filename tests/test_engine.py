@@ -1,15 +1,26 @@
+import gc
 import importlib.resources as res
+import itertools
+import math
+import random
+import weakref
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evrec import language as lang
 from evrec.engine import (
     ConfigError,
     Engine,
     EngineConfig,
+    record_arrival,
+    record_occurrence,
     run_stream,
 )
 from evrec.intervals import OPEN
+from evrec.language import HoldsFor
 from evrec.streams import InputRecord
 
 import reference
@@ -324,3 +335,137 @@ def test_history_collects_evicted_intervals():
     recs = [fl(1, "walking", ("p1",), 2, 6), ev(1, "disappear", ("p1",), 8)]
     eng, _results = run_stream(ed, EngineConfig(wm=10, step=10), recs, last_q=40)
     assert [(h[0], h[3], h[4]) for h in eng.history] == [("person", 3, 8)]
+
+
+def test_run_stream_orders_a_retract_tying_an_arrival():
+    # a retract has no occurrence time: neither the arrival order nor the
+    # default horizon may need one
+    ed = surveillance("p1")
+    recs = [
+        fl(1, "walking", ("p1",), 5, 30, arrival=10),
+        ev(1, "appear", ("p1",), 12, arrival=20),
+        InputRecord(id="e1", action="retract", arrival=20),
+    ]
+    for last_q, horizon_q in ((60, 60), (None, 80)):
+        eng, results = run_stream(ed, EngineConfig(wm=40, step=20), recs, last_q=last_q)
+        assert results[-1].q == horizon_q
+        assert eng.diagnostics == []  # the retract found the record before it
+        assert eng.store.event_times("appear", ("p1",)) == []
+        assert [(e.start, e.end) for e in results[0].entries] == [(6, OPEN)]
+
+
+def test_dropped_engine_is_freed_without_cycle_collection():
+    # compiled plans must not point back at their engine: a cycle would keep
+    # every dropped engine's store and caches alive until a full collection
+    eng = Engine(surveillance("p1", "p2"), EngineConfig(wm=20, step=10))
+    eng.ingest([fl(1, "walking", ("p1",), 2, 9), fl(2, "close", ("p1", "p2"), 2, 9)])
+    eng.query(10)
+    gc.disable()
+    try:
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# properties on random streams
+
+ENTITIES = ("p1", "p2", "obj1")
+HORIZON = 120
+
+
+def random_stream(rng, max_delay, retract_share):
+    """Random input over the whole vocabulary of the pack.  Each record
+    arrives up to `max_delay` ticks after it occurs, and a share of them is
+    retracted, also up to `max_delay` ticks after arriving."""
+    ids = itertools.count(1)
+    recs = []
+
+    def spans(n):
+        for _ in range(rng.randrange(n + 1)):
+            s = rng.randrange(HORIZON - 1)
+            yield s, (None if rng.random() < 0.1 else min(HORIZON, s + rng.randrange(1, 40)))
+
+    for p in ENTITIES:
+        for name in ("walking", "running", "active", "inactive", "abrupt"):
+            recs += [fl(next(ids), name, (p,), s, e) for s, e in spans(2)]
+        for name in ("appear", "disappear"):
+            if rng.random() < 0.5:
+                recs.append(ev(next(ids), name, (p,), rng.randrange(HORIZON)))
+        for q in ENTITIES:
+            if q != p and rng.random() < 0.6:
+                recs += [fl(next(ids), "close", (p, q), s, e) for s, e in spans(2)]
+    out = []
+    for rec in recs:
+        arrival = record_occurrence(rec) + rng.randint(0, max_delay)
+        out.append(replace(rec, arrival=arrival))
+        if rng.random() < retract_share:
+            late = arrival + rng.randint(0, max_delay)
+            out.append(InputRecord(id=rec.id, action="retract", arrival=late))
+    return out
+
+
+def shuffled_bodies(ed, rng):
+    """The description with every rule body in a random order; a holdsFor
+    rule shuffles only its holdsFor conjuncts, which its constructs follow."""
+    rules = []
+    for rule in ed.rules:
+        body = list(rule.body)
+        places = [i for i, lit in enumerate(body) if isinstance(lit, HoldsFor)]
+        if rule.kind != lang.HOLDS_FOR:
+            places = list(range(len(body)))
+        moved = [body[i] for i in places]
+        rng.shuffle(moved)
+        for i, lit in zip(places, moved):
+            body[i] = lit
+        rules.append(replace(rule, body=tuple(body)))
+    return replace(ed, rules=rules)
+
+
+windows = st.tuples(st.integers(0, 2**32 - 1), st.integers(5, 30), st.integers(0, 40))
+
+
+@given(windows)
+def test_body_literal_order_does_not_change_entries(window):
+    seed, step, extra = window
+    rng = random.Random(seed)
+    cfg = EngineConfig(wm=step + extra, step=step)
+    recs = random_stream(rng, max_delay=extra, retract_share=0.2)
+    ed = surveillance(*ENTITIES)
+    _eng, want = run_stream(ed, cfg, recs)
+    _eng, got = run_stream(shuffled_bodies(ed, rng), cfg, recs)
+    assert [r.entries for r in got] == [r.entries for r in want]
+
+
+@given(windows, st.integers(1, 3))
+def test_sharded_windows_match_the_pointwise_oracle(window, shards):
+    seed, step, extra = window
+    rng = random.Random(seed)
+    wm = step + extra
+    recs = sorted(random_stream(rng, max_delay=extra, retract_share=0.2), key=record_arrival)
+    pairs = sorted((a, b) for a in ENTITIES for b in ENTITIES if a != b)
+    shard = set(pairs[rng.randrange(shards)::shards])
+    engine = Engine(surveillance(*ENTITIES), EngineConfig(wm=wm, step=step), pair_filter=shard)
+    last_q = step * math.ceil((max(r.arrival for r in recs) + HORIZON + wm) / step)
+    idx = 0
+    for qi in range(step, last_q + 1, step):
+        while idx < len(recs) and recs[idx].arrival <= qi:
+            engine.ingest([recs[idx]])
+            idx += 1
+        res = engine.query(qi)
+        events, durative = engine.store.snapshot()
+        ev_d, fl_d = {}, {}
+        for name, args, t in events:
+            ev_d.setdefault((name, args), set()).add(t)
+        for (name, args, _value), ilist in durative.items():
+            fl_d[(name, args)] = ilist
+        expected = reference.surveillance_batch(
+            ev_d, fl_d, qi, qi - wm,
+            kept_starts=engine.kept_starts, sd_prefixes=engine.sd_prefixes,
+        )
+        got = {}
+        for e in res.entries:
+            got.setdefault((e.name, e.args), []).append((e.start, e.end))
+        assert got == {k: v for k, v in expected.items() if len(k[1]) == 1 or k[1] in shard}
