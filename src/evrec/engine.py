@@ -28,9 +28,22 @@ from typing import Callable, Iterable, Optional
 from . import intervals as iv
 from .intervals import OPEN, IntervalList
 from .language import (
-    HAPPENS, HOLDS_FOR, INITIATED, TERMINATED, BoundaryEvent, Comparison, EventDescription,
-    FluentValue, HappensAt, HoldsAt, HoldsFor, IntervalComplement, IntervalIntersection,
-    IntervalUnion, Rule, is_var,
+    HAPPENS,
+    HOLDS_FOR,
+    INITIATED,
+    TERMINATED,
+    BoundaryEvent,
+    Comparison,
+    EventDescription,
+    FluentValue,
+    HappensAt,
+    HoldsAt,
+    HoldsFor,
+    IntervalComplement,
+    IntervalIntersection,
+    IntervalUnion,
+    Rule,
+    is_var,
 )
 
 # the stabilities each reporting mode emits
@@ -74,6 +87,10 @@ class ResultEntry:
     end: Optional[int]  # None while the endpoint is unknown
     stability: str  # "open" | "partial" | "final"
 
+    @property
+    def fluent(self) -> tuple:
+        return (self.name, self.args, self.value)
+
 
 @dataclass
 class RecognitionResult:
@@ -93,7 +110,9 @@ def _materialize(ilist: IntervalList, bound: int) -> IntervalList:
     """Replace an OPEN tail by a finite end one past `bound` for set arithmetic."""
     if ilist and ilist[-1][1] is OPEN:
         s = ilist[-1][0]
-        return ilist[:-1] if s > bound else ilist[:-1] + [(s, bound + 1)]
+        if s > bound:
+            return ilist[:-1]
+        return ilist[:-1] + [(s, bound + 1)]
     return ilist
 
 
@@ -125,8 +144,9 @@ class SdeStore:
         self.by_id[rec_id] = ("event", name, args)
         return True
 
-    def add_interval(self, rec_id: str, name: str, args: tuple, value, start: int,
-                     end: Optional[int]) -> bool:
+    def add_interval(
+        self, rec_id: str, name: str, args: tuple, value, start: int, end: Optional[int]
+    ) -> bool:
         if rec_id in self.by_id:
             return False
         slot = self.durative.setdefault(name, {}).setdefault(args, {}).setdefault(value, [])
@@ -139,37 +159,45 @@ class SdeStore:
         if entry is None:
             return False
         if entry[0] == "event":
-            per_args, args = self.events[entry[1]], entry[2]
-            per_args[args] = [item for item in per_args[args] if item[1] != rec_id]
+            _, name, args = entry
+            slot = self.events[name][args]
+            slot[:] = [item for item in slot if item[1] != rec_id]
+            _drop_empty(self.events[name], args)
         else:
-            per_args, args, value = self.durative[entry[1]], entry[2], entry[3]
-            per_value = per_args[args]
-            per_value[value] = [item for item in per_value[value] if item[2] != rec_id]
-            _drop_empty(per_value, value)
-        _drop_empty(per_args, args)
+            _, name, args, value = entry
+            slot = self.durative[name][args][value]
+            slot[:] = [item for item in slot if item[2] != rec_id]
+            _drop_empty(self.durative[name][args], value)
+            _drop_empty(self.durative[name], args)
         return True
 
     def forget(self, boundary: int):
         """Drop all content at or before `boundary`; straddling intervals keep
         only the part strictly after it."""
-        for per_args in self.events.values():
+        for name, per_args in self.events.items():
             for args, slot in list(per_args.items()):
+                kept = []
                 for t, rec_id in slot:
-                    if t <= boundary:
+                    if t > boundary:
+                        kept.append((t, rec_id))
+                    else:
                         self.by_id.pop(rec_id, None)
-                per_args[args] = [item for item in slot if item[0] > boundary]
+                slot[:] = kept
                 _drop_empty(per_args, args)
-        for per_args in self.durative.values():
+        for name, per_args in self.durative.items():
             for args, per_value in list(per_args.items()):
                 for value, slot in list(per_value.items()):
                     kept = []
                     for item in slot:
-                        if item[1] is not OPEN and item[1] <= boundary + 1:
-                            self.by_id.pop(item[2], None)
+                        start, end, rec_id = item
+                        e = math.inf if end is OPEN else end
+                        if e <= boundary + 1:
+                            self.by_id.pop(rec_id, None)
                         else:
-                            item[0] = max(item[0], boundary + 1)
+                            if start <= boundary:
+                                item[0] = boundary + 1
                             kept.append(item)
-                    per_value[value] = kept
+                    slot[:] = kept
                     _drop_empty(per_value, value)
                 _drop_empty(per_args, args)
 
@@ -179,23 +207,38 @@ class SdeStore:
 
     def fluent_intervals(self, name: str, args: tuple, value) -> IntervalList:
         slot = self.durative.get(name, {}).get(args, {}).get(value)
-        return iv.normalize([(s, e) for s, e, _ in slot]) if slot else []
+        if not slot:
+            return []
+        return iv.normalize([(s, e) for s, e, _ in slot])
 
     def min_content(self) -> Optional[int]:
         """Earliest stored time-point, for bounded-memory checks."""
-        times = [t for per_args in self.events.values() for slot in per_args.values()
-                 for t, _id in slot]
-        times += [s for per_args in self.durative.values() for per_value in per_args.values()
-                  for slot in per_value.values() for s, _e, _id in slot]
-        return min(times, default=None)
+        lo = math.inf
+        for per_args in self.events.values():
+            for slot in per_args.values():
+                for t, _ in slot:
+                    lo = min(lo, t)
+        for per_args in self.durative.values():
+            for per_value in per_args.values():
+                for slot in per_value.values():
+                    for s, _e, _id in slot:
+                        lo = min(lo, s)
+        return None if lo == math.inf else int(lo)
 
     def snapshot(self) -> tuple[list, dict]:
         """(events, durative) copy for offline re-evaluation in tests."""
-        events = [(name, args, t) for name, per_args in self.events.items()
-                  for args, slot in per_args.items() for t, _id in slot]
-        durative = {(name, args, value): iv.normalize([(s, e) for s, e, _ in slot])
-                    for name, per_args in self.durative.items()
-                    for args, per_value in per_args.items() for value, slot in per_value.items()}
+        events = []
+        for name, per_args in self.events.items():
+            for args, slot in per_args.items():
+                events.extend((name, args, t) for t, _ in slot)
+        durative = {}
+        for name, per_args in self.durative.items():
+            for args, per_value in per_args.items():
+                for value, slot in per_value.items():
+                    if slot:
+                        durative[(name, args, value)] = iv.normalize(
+                            [(s, e) for s, e, _ in slot]
+                        )
         return events, durative
 
 
@@ -222,8 +265,12 @@ class _QueryState:
 
 
 class Engine:
-    def __init__(self, ed: EventDescription, cfg: EngineConfig,
-                 pair_filter: Optional[set[tuple]] = None):
+    def __init__(
+        self,
+        ed: EventDescription,
+        cfg: EngineConfig,
+        pair_filter: Optional[set[tuple]] = None,
+    ):
         if ed.rules and not ed.levels:
             raise ConfigError("event description must be stratified before use")
         self.ed = ed
@@ -237,8 +284,8 @@ class Engine:
         self._cache: dict[tuple, dict] = {}  # (name, args) -> value -> intervals
         self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
         # name -> args -> value -> kept start, or retained SD prefix, across the boundary
-        self._kept: dict[str, dict] = {}
-        self._prefixes: dict[str, dict] = {}
+        self.kept_starts: dict[str, dict] = {}
+        self.sd_prefixes: dict[str, dict] = {}
         self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
 
         self._grounded: dict[str, set[tuple]] = {}
@@ -268,40 +315,48 @@ class Engine:
         # value declaration order per simple fluent, for initiation tie-breaks
         self._value_order = {name: ed.fluent_values(name) for name in self._plans[INITIATED]}
 
-    kept_starts = property(lambda self: _flatten(self._kept),
-                           doc="(name, args, value) -> start kept across the boundary")
-    sd_prefixes = property(lambda self: _flatten(self._prefixes),
-                           doc="(name, args, value) -> SD prefix kept across the boundary")
-
     # -- input ---------------------------------------------------------------
 
     def ingest(self, records: Iterable) -> int:
         """Buffer input records; they take effect at the next query."""
-        before = len(self.pending)
-        self.pending.extend(records)
-        return len(self.pending) - before
+        count = 0
+        for rec in records:
+            self.pending.append(rec)
+            count += 1
+        return count
 
     def _apply(self, rec, boundary: int):
-        note = self.diagnostics.append
         if rec.action in ("retract", "update"):
             if not self.store.remove(rec.id):
-                note(f"{rec.action} of unknown or already-forgotten record id {rec.id!r}")
+                self.diagnostics.append(
+                    f"{rec.action} of unknown or already-forgotten record id {rec.id!r}"
+                )
             if rec.action == "retract":
                 return
-        late = f"at or before the window start {boundary}; dropped"
         if rec.kind == "event":
             if rec.t <= boundary:
-                note(f"record {rec.id!r} occurred at {rec.t}, {late}")
-            elif not self.store.add_event(rec.id, rec.name, tuple(rec.args), rec.t):
-                note(f"duplicate assert for record id {rec.id!r}; ignored")
+                self.diagnostics.append(
+                    f"record {rec.id!r} occurred at {rec.t}, at or before the window "
+                    f"start {boundary}; dropped"
+                )
+                return
+            if not self.store.add_event(rec.id, rec.name, tuple(rec.args), rec.t):
+                self.diagnostics.append(f"duplicate assert for record id {rec.id!r}; ignored")
         elif rec.kind == "interval":
-            if rec.end is not OPEN and rec.end <= boundary + 1:
-                note(f"record {rec.id!r} ended at {rec.end}, {late}")
-            elif not self.store.add_interval(rec.id, rec.name, tuple(rec.args), rec.value,
-                                             rec.start, rec.end):
-                note(f"duplicate assert for record id {rec.id!r}; ignored")
+            end = rec.end
+            if end is not OPEN and end <= boundary + 1:
+                self.diagnostics.append(
+                    f"record {rec.id!r} ended at {end}, at or before the window "
+                    f"start {boundary}; dropped"
+                )
+                return
+            ok = self.store.add_interval(
+                rec.id, rec.name, tuple(rec.args), rec.value, rec.start, end
+            )
+            if not ok:
+                self.diagnostics.append(f"duplicate assert for record id {rec.id!r}; ignored")
         else:
-            note(
+            self.diagnostics.append(
                 f"record {rec.id!r} of kind {rec.kind!r} is not an engine input; "
                 "coordinate samples must be preprocessed into closeness fluents"
             )
@@ -335,7 +390,8 @@ class Engine:
 
     def _roll_boundary(self, boundary: int):
         """Evict finished intervals and record crossing-interval bookkeeping."""
-        self._kept, self._prefixes = {}, {}
+        self.kept_starts = {}
+        self.sd_prefixes = {}
         for (name, args), per_value in self.prev_cache.items():
             simple = self.ed.kind_of(name) == "simple"
             for value, ilist in per_value.items():
@@ -347,9 +403,10 @@ class Engine:
                         # the initiating point s-1 is gone once it falls at or
                         # before the boundary; remember the start instead
                         if s <= boundary + 1:
-                            self._kept.setdefault(name, {}).setdefault(args, {})[value] = s
+                            kept = self.kept_starts.setdefault(name, {}).setdefault(args, {})
+                            kept[value] = s
                     elif s <= boundary:
-                        kept = self._prefixes.setdefault(name, {}).setdefault(args, {})
+                        kept = self.sd_prefixes.setdefault(name, {}).setdefault(args, {})
                         kept[value] = (s, boundary + 1)
 
     # -- rule plans ----------------------------------------------------------
@@ -519,7 +576,7 @@ class Engine:
         for value, solve in self._plans[INITIATED].get(name, []):
             for args, t in solve():
                 starts.setdefault(args, {}).setdefault(value, set()).add(t)
-        kept = self._kept.get(name, {})
+        kept = self.kept_starts.get(name, {})
         live = self._state.live = starts.keys() | kept.keys()
         terms: dict[tuple, dict] = {}
         for value, solve in self._plans[TERMINATED].get(name, []):
@@ -567,7 +624,7 @@ class Engine:
                 if fresh is not None:
                     slot = per_args.setdefault(args, {})
                     slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
-        prefixes = self._prefixes.get(name, {})
+        prefixes = self.sd_prefixes.get(name, {})
         for args, per_value in per_args.items():
             result = {}
             for value, ilist in per_value.items():
@@ -614,12 +671,15 @@ class Engine:
         for (name, args), per_value in self._cache.items():
             for value, ilist in per_value.items():
                 for s, e in ilist:
-                    # an interval starting after the next boundary may still be
-                    # retracted whole: it is open, the least stable class
-                    stability = (
-                        "open" if e is OPEN or s > next_boundary
-                        else "final" if e <= next_boundary else "partial"
-                    )
+                    if e is OPEN:
+                        stability = "open"
+                    elif e <= next_boundary:
+                        stability = "final"
+                    elif s <= next_boundary:
+                        stability = "partial"
+                    else:
+                        # both bounds may still be retracted: least stable class
+                        stability = "open"
                     entries.append(ResultEntry(name, args, value, s, e, stability))
         entries.sort(key=lambda en: (en.name, en.args, str(en.value), en.start))
         return entries
@@ -629,12 +689,6 @@ class Engine:
 # Plan building blocks
 
 _NONE: dict = {}  # the empty mapping that lookups fall back to; never written
-
-
-def _flatten(by_name: dict) -> dict:
-    """name -> args -> value -> x, as (name, args, value) -> x."""
-    return {(name, args, value): x for name, per_args in by_name.items()
-            for args, per_value in per_args.items() for value, x in per_value.items()}
 
 
 def _builder(parts: list) -> Callable:
@@ -795,18 +849,28 @@ def run_stream(
     import time as _time
 
     engine = Engine(ed, cfg, pair_filter=pair_filter)
-    # stable on arrival alone: a retract has no occurrence time to order by
-    ordered = sorted(records, key=record_arrival)
+    # a retract has no occurrence time: one without an arrival arrives with
+    # the record before it, and the sort is stable on arrival alone
+    arrivals, prev = [], 0
+    for rec in records:
+        if rec.arrival is not None or rec.action != "retract":
+            prev = record_arrival(rec)
+        arrivals.append(prev)
+    ordered = sorted(zip(arrivals, records), key=itemgetter(0))
     if last_q is None:
-        horizon = max((max(record_arrival(r), _content_end(r)) for r in ordered), default=0)
+        horizon = max(
+            (max(arrival, _content_end(r)) for arrival, r in ordered), default=0
+        )
         last_q = cfg.step * math.ceil((horizon + cfg.wm) / cfg.step)
-    results, idx, qi = [], 0, cfg.step
+    results = []
+    idx = 0
+    qi = cfg.step
     while qi <= last_q:
         lo = idx
-        while idx < len(ordered) and record_arrival(ordered[idx]) <= qi:
+        while idx < len(ordered) and ordered[idx][0] <= qi:
             idx += 1
         if idx > lo:
-            engine.ingest(ordered[lo:idx])
+            engine.ingest(rec for _arrival, rec in ordered[lo:idx])
         t0 = _time.perf_counter()
         results.append(engine.query(qi))
         if timings is not None:

@@ -142,7 +142,8 @@ def surveillance_batch(
     `events`: (name, args) -> iterable of ticks.  `fluents`: (name, args) ->
     interval list (the SDE store content, value "true" implied).
     `kept_starts` / `sd_prefixes` carry boundary bookkeeping from the run
-    under test, since the store no longer holds pre-window evidence.
+    under test (name -> args -> value -> kept start / retained prefix), since
+    the store no longer holds pre-window evidence.
     Returns (name, args) -> interval list.
     """
     kept_starts = kept_starts or {}
@@ -157,12 +158,13 @@ def surveillance_batch(
 
     entities = sorted(
         {a for (_n, args) in list(events) + list(fluents) for a in args}
-        | {a for (_n, args, _v) in list(kept_starts) + list(sd_prefixes) for a in args}
+        | {a for kept in (kept_starts, sd_prefixes) for per_args in kept.values()
+           for args in per_args for a in args}
     )
     out = {}
 
     def seed(name, args) -> set[int]:
-        s = kept_starts.get((name, args, "true"))
+        s = kept_starts.get(name, {}).get(args, {}).get("true")
         return {s - 1} if s is not None else set()
 
     persons = {}
@@ -206,7 +208,7 @@ def surveillance_batch(
             )
             sd = {t for t in sd if lo <= t <= qi}
             sd_list = runs(sd, qi + 1)
-            prefix = sd_prefixes.get(("moving_sd", (p1, p2), "true"))
+            prefix = sd_prefixes.get("moving_sd", {}).get((p1, p2), {}).get("true")
             if prefix is not None:
                 sd |= set(range(prefix[0], prefix[1]))
                 sd_list = runs(sd, qi + 1)

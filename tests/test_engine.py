@@ -15,6 +15,7 @@ from evrec.engine import (
     ConfigError,
     Engine,
     EngineConfig,
+    EvaluationError,
     record_arrival,
     record_occurrence,
     run_stream,
@@ -341,17 +342,37 @@ def test_run_stream_orders_a_retract_tying_an_arrival():
     # a retract has no occurrence time: neither the arrival order nor the
     # default horizon may need one
     ed = surveillance("p1")
-    recs = [
+    delayed = [
         fl(1, "walking", ("p1",), 5, 30, arrival=10),
         ev(1, "appear", ("p1",), 12, arrival=20),
         InputRecord(id="e1", action="retract", arrival=20),
     ]
-    for last_q, horizon_q in ((60, 60), (None, 80)):
-        eng, results = run_stream(ed, EngineConfig(wm=40, step=20), recs, last_q=last_q)
-        assert results[-1].q == horizon_q
-        assert eng.diagnostics == []  # the retract found the record before it
-        assert eng.store.event_times("appear", ("p1",)) == []
-        assert [(e.start, e.end) for e in results[0].entries] == [(6, OPEN)]
+    # without arrivals, the retract arrives with the record before it
+    in_order = [fl(1, "walking", ("p1",), 5, 30), ev(1, "appear", ("p1",), 12),
+                InputRecord(id="e1", action="retract")]
+    for recs in (delayed, in_order):
+        for last_q, horizon_q in ((60, 60), (None, 80)):
+            eng, results = run_stream(ed, EngineConfig(wm=40, step=20), recs, last_q=last_q)
+            assert results[-1].q == horizon_q
+            assert eng.diagnostics == []  # the retract found the record before it
+            assert eng.store.event_times("appear", ("p1",)) == []
+            assert [(e.start, e.end) for e in results[0].entries] == [(6, OPEN)]
+
+
+def test_unreachable_literal_fails_when_the_engine_is_built():
+    # no literal binds Later, so no join order can evaluate the comparison
+    pack = """domain entity = {a, b}
+input event appear/1
+simple fluent seen/1
+ground seen over entity
+initiatedAt(seen(P) = true, T) <-
+    happensAt(appear(P), T),
+    T > Later.
+"""
+    ed, diagnostics = lang.load(pack)
+    assert [d.severity for d in diagnostics] == ["error"]
+    with pytest.raises(EvaluationError, match="no binding reaches T > Later"):
+        Engine(ed, EngineConfig(wm=10, step=10))
 
 
 def test_dropped_engine_is_freed_without_cycle_collection():
