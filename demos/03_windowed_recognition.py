@@ -25,13 +25,10 @@ scene = [
     InputRecord(id="d", kind="event", name="disappear", args=("obj1",), t=60),
 ]
 
-engine, results = run_stream(ed, EngineConfig(wm=40, step=20), scene)
+_engine, results = run_stream(ed, EngineConfig(wm=40, step=20), scene)
 for res_ in results:
     for e in res_.entries:
         if e.name == "leaving_object":
             end = "OPEN" if e.end is None else e.end
             print(f"q={res_.q:3d}  leaving_object{e.args} "
                   f"[{e.start}, {end})  {e.stability}")
-
-print()
-print("evicted to history:", engine.history)

@@ -2,11 +2,18 @@
 
 The engine is driven by query times Q1, Q2, ... spaced `step` ticks apart.
 At each query it applies buffered input, discards everything that took place
-at or before the window start (Qi - wm), and recomputes every composite
-fluent bottom-up by stratification level.  Intervals that crossed the window
+at or before the window start (Qi - wm), and brings every composite fluent up
+to date bottom-up by stratification level.  Intervals that crossed the window
 boundary are reconnected: a statically determined fluent keeps the retained
 prefix and amalgamates it with the fresh result, a simple fluent keeps only
 the start point of the crossing interval and rebuilds the interval from it.
+
+Rules are re-evaluated only from a dirty-from time: the earliest of the time
+just after the last query and the earliest time the input applied at this
+query changes, but not before the window start.  Before it, and after the
+window start, the last query's answers still hold and are reused; the first
+point of the window is always evaluated again, because forgetting cuts input
+intervals there.  A rule that reads a derived fluent or event reuses nothing.
 
 `Engine.__init__` compiles each rule once into a plan: an ordered chain of
 join steps over variable slots, each reading its source through an index on
@@ -136,12 +143,16 @@ class SdeStore:
         self.events: dict[str, dict[tuple, list[tuple[int, str]]]] = {}
         self.durative: dict[str, dict[tuple, dict[object, list[list]]]] = {}
         self.by_id: dict[str, tuple] = {}
+        # the earliest time that content added or removed since the owner last
+        # reset it covers; forgetting does not count
+        self.changed_from = math.inf
 
     def add_event(self, rec_id: str, name: str, args: tuple, t: int) -> bool:
         if rec_id in self.by_id:
             return False
         self.events.setdefault(name, {}).setdefault(args, []).append((t, rec_id))
         self.by_id[rec_id] = ("event", name, args)
+        self.changed_from = min(self.changed_from, t)
         return True
 
     def add_interval(
@@ -152,6 +163,7 @@ class SdeStore:
         slot = self.durative.setdefault(name, {}).setdefault(args, {}).setdefault(value, [])
         slot.append([start, end, rec_id])
         self.by_id[rec_id] = ("interval", name, args, value)
+        self.changed_from = min(self.changed_from, start)
         return True
 
     def remove(self, rec_id: str) -> bool:
@@ -161,15 +173,23 @@ class SdeStore:
         if entry[0] == "event":
             _, name, args = entry
             slot = self.events[name][args]
-            slot[:] = [item for item in slot if item[1] != rec_id]
+            self._take(slot, rec_id)
             _drop_empty(self.events[name], args)
         else:
             _, name, args, value = entry
             slot = self.durative[name][args][value]
-            slot[:] = [item for item in slot if item[2] != rec_id]
+            self._take(slot, rec_id)
             _drop_empty(self.durative[name][args], value)
             _drop_empty(self.durative[name], args)
         return True
+
+    def _take(self, slot: list, rec_id: str):
+        """Remove a record's item, (t, id) or [start, end, id], from its slot."""
+        for i, item in enumerate(slot):
+            if item[-1] == rec_id:
+                del slot[i]
+                self.changed_from = min(self.changed_from, item[0])
+                return
 
     def forget(self, boundary: int):
         """Drop all content at or before `boundary`; straddling intervals keep
@@ -257,11 +277,23 @@ class _QueryState:
 
     def __init__(self, store: SdeStore):
         self.store, self.qi, self.lo = store, 0, 0
+        self.dirty = 0  # the dirty-from time of the rule being evaluated
         self.derived: dict[str, dict] = {}  # name -> args -> value -> intervals
         self.events: dict[str, dict] = {}  # name -> args -> times of a derived event
         self.memo: dict[tuple, IntervalList] = {}  # input intervals clipped at Qi
         self.live: set[tuple] = set()  # groundings a termination plan runs over
         self.indexes: dict[tuple, dict] = {}  # emptied after each scheduled item
+
+
+class _PointPlan:
+    """A compiled initiatedAt, terminatedAt or happensAt rule and the
+    (head arguments, T) solutions it had at the last query, T in its window."""
+
+    def __init__(self, solve: Callable[[], list], derived: bool):
+        self.solve = solve  # fresh solutions, T at the window start or from state.dirty
+        self.derived = derived  # reads a derived fluent or event: reuses nothing
+        self.solutions: list = []
+        self.live: set = set()  # the groundings a termination plan last ran over
 
 
 class Engine:
@@ -278,12 +310,14 @@ class Engine:
         self.store = SdeStore()
         self.pending: list = []
         self.diagnostics: list[str] = []
-        self.history: list[tuple] = []  # (name, args, value, start, end, evicted_at)
         self.next_q = cfg.step
         self.prev_cache: dict[tuple, dict] = {}
+        self._prev_derived: dict[str, dict] = {}  # prev_cache by name, as state.derived
+        self._dirty = 0  # this query's dirty-from time
         self._cache: dict[tuple, dict] = {}  # (name, args) -> value -> intervals
         self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
-        # name -> args -> value -> kept start, or retained SD prefix, across the boundary
+        # name -> args -> value -> kept start, or retained SD prefix, across the
+        # boundary; the carried SD results hold the prefixes already
         self.kept_starts: dict[str, dict] = {}
         self.sd_prefixes: dict[str, dict] = {}
         self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
@@ -372,11 +406,16 @@ class Engine:
             self._apply(rec, boundary)
         self.pending.clear()
         self.store.forget(boundary)
+        # the last query's answers hold up to its own query time, and up to the
+        # earliest change applied now; before the first query nothing is stored
+        self._dirty = max(boundary + 1, min(qi - self.cfg.step + 1, self.store.changed_from))
+        self.store.changed_from = math.inf
 
         self._roll_boundary(boundary)
 
         state = self._state
         state.qi, state.lo = qi, boundary + 1
+        self._prev_derived = state.derived
         self._cache, state.derived, state.events, state.memo = {}, {}, {}, {}
         for name, compute in self._schedule:
             compute(self, name)
@@ -398,8 +437,8 @@ class Engine:
                 for s, e in ilist:
                     end = math.inf if e is OPEN else e
                     if end <= boundary:
-                        self.history.append((name, args, value, s, e, boundary + self.cfg.wm))
-                    elif simple:
+                        continue
+                    if simple:
                         # the initiating point s-1 is gone once it falls at or
                         # before the boundary; remember the start instead
                         if s <= boundary + 1:
@@ -411,10 +450,11 @@ class Engine:
 
     # -- rule plans ----------------------------------------------------------
 
-    def _compile_point(self, rule: Rule) -> Callable[[], list]:
-        """Compile an initiatedAt, terminatedAt or happensAt rule into a function
-        returning its solutions' (head arguments, T) pairs.  Each step binds its
-        new variables in a slot list and calls the next step once per match."""
+    def _compile_point(self, rule: Rule) -> _PointPlan:
+        """Compile an initiatedAt, terminatedAt or happensAt rule into a plan
+        whose solve() returns its solutions' (head arguments, T) pairs.  Each
+        step binds its new variables in a slot list and calls the next step
+        once per match."""
         name, head, state = rule.head.name, rule.head.args, self._state
         slots: dict[str, int] = {}
         steps = []
@@ -449,7 +489,7 @@ class Engine:
             step(env)
             return env[out]
 
-        return solve
+        return _PointPlan(solve, self._reads_derived(rule))
 
     def _step(self, lit, slots: dict) -> Callable:
         """Compile one body literal, given the variables bound before it, into
@@ -482,10 +522,11 @@ class Engine:
 
         def make(nxt):
             def expand(env, args):
-                # with the time bound, only check that the event happens then
-                lo, hi = (env[tslot],) * 2 if bound else (state.lo, state.qi)
+                # with the time bound, only check that the event happens then;
+                # else take the window start and the times from the dirty one on
+                first, lo, hi = (env[tslot],) * 3 if bound else (state.lo, state.dirty, state.qi)
                 for t in points(args):
-                    if lo <= t <= hi:
+                    if t == first or lo <= t <= hi:
                         env[tslot] = t
                         nxt(env)
 
@@ -512,10 +553,12 @@ class Engine:
         return (lambda: state.store.durative.get(name, _NONE)), clipped
 
     def _compile_sd(self, rule: Rule) -> tuple:
-        """Compile a holdsFor rule into (sources, fits, evaluate): evaluate maps
-        a head grounding to the body's intervals (None if a required conjunct
-        is empty).  A source (rows, value, arity, to_head, to_key) is a
-        required input whose variables are the head's."""
+        """Compile a holdsFor rule into (sources, fits, evaluate, derived):
+        evaluate maps a head grounding and a time to the body's intervals from
+        that time on (None if a required conjunct is empty there).  A source
+        (rows, intervals, arity, to_head, to_key) is a required input whose
+        variables are the head's.  derived tells whether the rule reads a
+        derived fluent."""
         head, state = rule.head.args, self._state
         first = {t: pos for pos, t in reversed(list(enumerate(head))) if is_var(t)}
 
@@ -534,7 +577,7 @@ class Engine:
                 at = {t: pos for pos, t in reversed(list(enumerate(fv.args))) if is_var(t)}
                 if lit in required and at.keys() == first.keys():
                     to_head = _builder([(at[t], None) if is_var(t) else (None, t) for t in head])
-                    sources.append((rows, fv.value, len(fv.args), to_head, body[-1][1]))
+                    sources.append((rows, intervals, len(fv.args), to_head, body[-1][1]))
             elif isinstance(lit, Comparison):
                 body.append((lit, over_head(_terms_of(lit)), None, False))
             elif isinstance(lit, (IntervalUnion, IntervalIntersection, IntervalComplement)):
@@ -542,11 +585,11 @@ class Engine:
             else:
                 raise EvaluationError(f"literal {lit} is not supported in holdsFor rules")
 
-        def evaluate(args: tuple) -> Optional[IntervalList]:
+        def evaluate(args: tuple, since: int) -> Optional[IntervalList]:
             env: dict[str, IntervalList] = {}
             for lit, key, intervals, needed in body:
                 if intervals is not None:
-                    ilist = intervals(key(args))
+                    _, ilist = iv.clip_before(intervals(key(args)), since - 1)
                     if needed and not ilist:
                         return None
                     env[lit.interval] = _materialize(ilist, state.qi)
@@ -562,7 +605,14 @@ class Engine:
             return _need(env, rule.head_var, rule)
 
         canon = over_head(head)
-        return sources, lambda args: len(args) == len(head) and canon(args) == args, evaluate
+        fits = lambda args: len(args) == len(head) and canon(args) == args  # noqa: E731
+        return sources, fits, evaluate, self._reads_derived(rule)
+
+    def _reads_derived(self, rule: Rule) -> bool:
+        """Whether the body reads a derived fluent or event, whose answers may
+        change anywhere in the window."""
+        return any(not self.ed.is_input(_read_by(lit).name)
+                   for lit in rule.body if isinstance(lit, (HappensAt, HoldsAt, HoldsFor)))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -571,16 +621,35 @@ class Engine:
         slot = self._cache.setdefault((name, args), {})
         return self._state.derived.setdefault(name, {}).setdefault(args, slot)
 
+    def _solutions(self, plan: _PointPlan, live: Optional[set] = None) -> list:
+        """The plan's solutions in the window.  Those after the window start and
+        before the dirty-from time are the last query's; the plan runs for the
+        others.  A termination plan runs over the `live` groundings, and over
+        the whole window for those it did not run over at the last query."""
+        state = self._state
+        lo, dirty = state.lo, state.lo if plan.derived else self._dirty
+        out = [sol for sol in plan.solutions if lo < sol[1] < dirty]
+        runs = [(None, dirty)]
+        if live is not None:
+            out = [sol for sol in out if sol[0] in live]
+            runs = [(live & plan.live, dirty), (live - plan.live, lo)]
+        for state.live, state.dirty in runs:
+            out += plan.solve()
+            if live is not None:
+                state.indexes.clear()  # an index over the live set holds for one run
+        plan.solutions, plan.live = out, live
+        return out
+
     def _compute_simple_fluent(self, name: str):
         starts: dict[tuple, dict] = {}
-        for value, solve in self._plans[INITIATED].get(name, []):
-            for args, t in solve():
+        for value, plan in self._plans[INITIATED].get(name, []):
+            for args, t in self._solutions(plan):
                 starts.setdefault(args, {}).setdefault(value, set()).add(t)
         kept = self.kept_starts.get(name, {})
-        live = self._state.live = starts.keys() | kept.keys()
+        live = starts.keys() | kept.keys()
         terms: dict[tuple, dict] = {}
-        for value, solve in self._plans[TERMINATED].get(name, []):
-            for args, t in solve():
+        for value, plan in self._plans[TERMINATED].get(name, []):
+            for args, t in self._solutions(plan, live):
                 terms.setdefault(args, {}).setdefault(value, set()).add(t)
 
         order = self._value_order.get(name, [])
@@ -617,49 +686,55 @@ class Engine:
                 self._slot(name, args).update(result)
 
     def _compute_sd_fluent(self, name: str):
+        state, plans = self._state, self._plans[HOLDS_FOR].get(name, [])
+        # the rules of one fluent share its result, so one reading a derived
+        # fluent makes them all reuse nothing
+        dirty = state.lo if any(plan[3] for _value, plan in plans) else self._dirty
         per_args: dict[tuple, dict] = {}
-        for value, (sources, fits, evaluate) in self._plans[HOLDS_FOR].get(name, []):
-            for args in self._sd_groundings(name, sources, fits):
-                fresh = evaluate(args)
+        for value, (sources, fits, evaluate, _derived) in plans:
+            for args in self._sd_groundings(name, sources, fits, dirty):
+                fresh = evaluate(args, dirty)
                 if fresh is not None:
                     slot = per_args.setdefault(args, {})
                     slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
-        prefixes = self.sd_prefixes.get(name, {})
-        for args, per_value in per_args.items():
-            result = {}
+        # the last query's result before the dirty-from time carries over; its
+        # part at or before the window start is the retained prefix
+        carried: dict[tuple, dict] = {}
+        for args, per_value in self._prev_derived.get(name, {}).items():
             for value, ilist in per_value.items():
-                _, fresh = iv.clip_before(ilist, self._state.lo - 1)
-                prefix = prefixes.get(args, {}).get(value)
-                if prefix is not None:
-                    fresh = iv.amalgamate([prefix], fresh)
-                fresh = _reopen(fresh, self._state.qi)
-                if fresh:
-                    result[value] = fresh
+                part = [(s, e) for s, e in iv.clip_before(ilist, dirty - 1)[0] if e >= state.lo]
+                if part:
+                    carried.setdefault(args, {})[value] = part
+        for args in per_args.keys() | carried.keys():
+            fresh, carry, result = per_args.get(args, {}), carried.get(args, {}), {}
+            for value in fresh.keys() | carry.keys():
+                ilist = _reopen(iv.amalgamate(carry.get(value, []), fresh.get(value, [])), state.qi)
+                if ilist:
+                    result[value] = ilist
             if result:
                 self._slot(name, args).update(result)
-        # a retained prefix with no fresh continuation must still be reported
-        for args, per_value in prefixes.items():
-            for value, prefix in per_value.items():
-                self._slot(name, args).setdefault(value, [prefix])
 
-    def _sd_groundings(self, name: str, sources: list, fits: Callable) -> list[tuple]:
-        """Groundings from the keys with content of the sparsest source, else all."""
+    def _sd_groundings(self, name: str, sources: list, fits: Callable, dirty: int) -> list[tuple]:
+        """Groundings from the keys of the sparsest source with content from
+        the dirty-from time on, else all."""
         grounded = self._grounded.get(name, set())
         if not sources:
             return [args for args in grounded if fits(args)]
-        rows, value, arity, to_head, to_key = min(sources, key=lambda src: len(src[0]()))
+        rows, intervals, arity, to_head, to_key = min(sources, key=lambda src: len(src[0]()))
         out = []
-        for key, content in rows().items():
-            if len(key) == arity and content.get(value):
+        for key in rows():
+            if len(key) == arity:
                 args = to_head(key)
                 if args in grounded and to_key(args) == key:
-                    out.append(args)
+                    ilist = intervals(key)
+                    if ilist and (ilist[-1][1] is OPEN or ilist[-1][1] > dirty):
+                        out.append(args)
         return out
 
     def _compute_events(self, name: str):
         occurrences: dict[tuple, set[int]] = {}
-        for _value, solve in self._plans[HAPPENS].get(name, []):
-            for args, t in solve():
+        for _value, plan in self._plans[HAPPENS].get(name, []):
+            for args, t in self._solutions(plan):
                 occurrences.setdefault(args, set()).add(t)
         self._state.events[name] = {args: sorted(ts) for args, ts in occurrences.items()}
 
@@ -753,10 +828,15 @@ def _split(terms: tuple, slots: dict) -> tuple[list, list, list]:
     return key, binds, same
 
 
+def _read_by(lit):
+    """The fluent or event a holdsAt, holdsFor or happensAt literal reads."""
+    return getattr(lit, "fluent", None) or getattr(lit.event, "fluent", lit.event)
+
+
 def _terms_of(lit) -> tuple:
     if isinstance(lit, Comparison):
         return (lit.left, lit.right)
-    return (getattr(lit, "fluent", None) or getattr(lit.event, "fluent", lit.event)).args
+    return _read_by(lit).args
 
 
 def _join_order(rule: Rule, bound: set) -> list:

@@ -40,10 +40,14 @@ def normalize(raw: Iterable[Interval]) -> IntervalList:
     """Canonicalize: sort, merge overlapping and abutting intervals.
 
     Pointwise membership is preserved.  Raises MalformedIntervalError for an
-    interval with start >= end.
+    interval with start >= end or a negative start.  A list that is canonical
+    already, as most inputs are, is only copied.
     """
+    given = list(raw)
+    if is_canonical(given) and (not given or given[0][0] >= 0):
+        return given
     items = []
-    for s, e in raw:
+    for s, e in given:
         if s < 0:
             raise MalformedIntervalError(f"negative start in ({s}, {e})")
         if e is not OPEN and s >= e:

@@ -331,13 +331,6 @@ def test_run_stream_respects_arrival_order():
     assert by_q[30] != []  # arrives in time, window still covers it
 
 
-def test_history_collects_evicted_intervals():
-    ed = surveillance("p1")
-    recs = [fl(1, "walking", ("p1",), 2, 6), ev(1, "disappear", ("p1",), 8)]
-    eng, _results = run_stream(ed, EngineConfig(wm=10, step=10), recs, last_q=40)
-    assert [(h[0], h[3], h[4]) for h in eng.history] == [("person", 3, 8)]
-
-
 def test_run_stream_orders_a_retract_tying_an_arrival():
     # a retract has no occurrence time: neither the arrival order nor the
     # default horizon may need one
@@ -388,6 +381,124 @@ def test_dropped_engine_is_freed_without_cycle_collection():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# reuse of the last query's answers
+
+
+def test_moving_initiated_and_terminated_within_the_newest_step():
+    # the grounding is live for the first time at q=50, so its terminations
+    # are needed over the whole window, though the last query ran none
+    ed = surveillance("p1", "p2")
+    recs = [
+        fl(1, "walking", ("p1",), 0, 100),
+        fl(2, "walking", ("p2",), 0, 100),
+        fl(3, "close", ("p1", "p2"), 42, 47),
+    ]
+    results = replay_against_the_oracle(Engine(ed, EngineConfig(wm=30, step=10)), recs, 60)
+    moving = {(q, s, e) for q, name, _a, s, e, _st in entries_of(results, "moving")}
+    assert moving == {(50, 43, 47), (60, 43, 47)}
+
+
+def test_grounding_first_live_at_the_window_start_is_terminated_in_the_reused_range():
+    # at q=20, start(a) at 5 finds b not holding yet.  At q=30 forgetting
+    # cuts a to start at the window start 11, where b holds: f(x) is live for
+    # the first time, and its termination at 15 lies before 21, from where
+    # q=30 evaluates the other groundings
+    text = (
+        "input fluent a/1\ninput fluent b/1\ninput event stop/1\n"
+        "simple fluent f/1\nground f over ent\ndomain ent = {x}\n"
+        "initiatedAt(f(X) = true, T) <- happensAt(start(a(X) = true), T), holdsAt(b(X) = true, T).\n"
+        "terminatedAt(f(X) = true, T) <- happensAt(stop(X), T).\n"
+    )
+    ed, _ = lang.load(text)
+    recs = [
+        InputRecord(id="a", kind="interval", name="a", args=("x",), value="true", start=5, end=100),
+        InputRecord(id="b", kind="interval", name="b", args=("x",), value="true", start=11, end=100),
+        InputRecord(id="s", kind="event", name="stop", args=("x",), t=15),
+    ]
+    _eng, results = run_stream(ed, EngineConfig(wm=20, step=10), recs, last_q=30)
+    assert [(r.q, e.start, e.end) for r in results for e in r.entries] == [(30, 12, 15)]
+
+
+def test_window_start_reinitiates_person_and_leaving_object():
+    # walking straddles the window start 10 at q=30: forgetting cuts it to
+    # start at 11, which initiates person again after the disappear at 8.
+    # leaving_object reads person at 15, inside the range q=30 would reuse
+    ed = surveillance("p1", "obj1")
+    recs = [
+        fl(1, "walking", ("p1",), 5, 200),
+        ev(1, "disappear", ("p1",), 8),
+        fl(2, "inactive", ("obj1",), 12, 40),
+        fl(3, "close", ("p1", "obj1"), 12, 40),
+        ev(2, "appear", ("obj1",), 15),
+    ]
+    results = replay_against_the_oracle(Engine(ed, EngineConfig(wm=20, step=10)), recs, 30)
+    person = {(q, s, e) for q, _n, _a, s, e, _st in entries_of(results, "person")}
+    assert person == {(10, 6, 8), (20, 6, 8), (30, 12, OPEN)}
+    leaving = {(q, s, e) for q, _n, _a, s, e, _st in entries_of(results, "leaving_object")}
+    assert leaving == {(30, 16, OPEN)}
+
+
+def test_update_moves_an_end_back_into_the_reused_range():
+    # at q=60 the last query's answers would hold up to 51; the update's
+    # stored and new start, 25, make the engine evaluate from there
+    ed = surveillance("p1", "p2")
+    recs = [
+        fl(1, "walking", ("p1",), 25, 60),
+        fl(2, "walking", ("p2",), 25, 60),
+        fl(3, "close", ("p1", "p2"), 25, 60),
+        InputRecord(id="f1", action="update", kind="interval", name="walking",
+                    args=("p1",), value="true", start=25, end=35, arrival=60),
+    ]
+    results = replay_against_the_oracle(Engine(ed, EngineConfig(wm=40, step=10)), recs, 60)
+    last = {(e.name, e.start, e.end) for e in results[-1].entries if len(e.args) == 2}
+    assert last == {("moving", 26, 35), ("moving_sd", 25, 35)}
+
+
+def test_state_stays_inside_the_window_on_a_long_stream():
+    # every solution, interval, kept start, prefix and stored item lies after
+    # the window start, but for intervals that cross it
+    ed = surveillance("p1", "p2")
+    recs, wm = [], 40
+    for k, t in enumerate(range(0, 3000, 30)):
+        recs += [
+            fl(4 * k, "walking", ("p1",), t, t + 20),
+            fl(4 * k + 1, "walking", ("p2",), t + 5, t + 45),
+            fl(4 * k + 2, "close", ("p1", "p2"), t + 3, t + 18),
+            fl(4 * k + 3, "running", ("p2",), t + 10, t + 12),
+            ev(k, "disappear", ("p1",), t + 25),
+        ]
+    engine = Engine(ed, EngineConfig(wm=wm, step=10))
+    recs.sort(key=record_occurrence)
+    idx = 0
+    for qi in range(10, 3100, 10):
+        while idx < len(recs) and record_occurrence(recs[idx]) <= qi:
+            engine.ingest([recs[idx]])
+            idx += 1
+        crossing = {
+            (name, args, value, s)
+            for (name, args), per_value in engine.prev_cache.items()
+            for value, ilist in per_value.items()
+            for s, e in ilist
+            if e is OPEN or e > qi - wm
+        }
+        engine.query(qi)
+        b = qi - wm
+        assert engine.store.min_content() is None or engine.store.min_content() > b
+        for per_name in engine._plans.values():
+            for plans in per_name.values():
+                for _value, plan in plans:
+                    assert all(t > b for _args, t in getattr(plan, "solutions", ()))
+        for per_value in engine.prev_cache.values():
+            assert all(e is OPEN or e > b for ilist in per_value.values() for _s, e in ilist)
+        for name, per_args in engine.kept_starts.items():
+            for args, per_value in per_args.items():
+                assert all((name, args, v, s) in crossing for v, s in per_value.items())
+        for per_args in engine.sd_prefixes.values():
+            for per_value in per_args.values():
+                assert all(e == b + 1 for _s, e in per_value.values())
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +571,15 @@ def test_body_literal_order_does_not_change_entries(window):
     assert [r.entries for r in got] == [r.entries for r in want]
 
 
-@given(windows, st.integers(1, 3))
-def test_sharded_windows_match_the_pointwise_oracle(window, shards):
-    seed, step, extra = window
-    rng = random.Random(seed)
-    wm = step + extra
-    recs = sorted(random_stream(rng, max_delay=extra, retract_share=0.2), key=record_arrival)
-    pairs = sorted((a, b) for a in ENTITIES for b in ENTITIES if a != b)
-    shard = set(pairs[rng.randrange(shards)::shards])
-    engine = Engine(surveillance(*ENTITIES), EngineConfig(wm=wm, step=step), pair_filter=shard)
-    last_q = step * math.ceil((max(r.arrival for r in recs) + HORIZON + wm) / step)
-    idx = 0
+def replay_against_the_oracle(engine, recs, last_q, shard=None) -> list:
+    """Query the engine every step up to last_q, each record ingested at its
+    arrival (its occurrence when it has none), and check every answer against
+    the pointwise evaluation of the store from scratch.  Returns the results."""
+    step, wm = engine.cfg.step, engine.cfg.wm
+    recs = sorted(recs, key=record_arrival)
+    results, idx = [], 0
     for qi in range(step, last_q + 1, step):
-        while idx < len(recs) and recs[idx].arrival <= qi:
+        while idx < len(recs) and record_arrival(recs[idx]) <= qi:
             engine.ingest([recs[idx]])
             idx += 1
         res = engine.query(qi)
@@ -489,4 +596,35 @@ def test_sharded_windows_match_the_pointwise_oracle(window, shards):
         got = {}
         for e in res.entries:
             got.setdefault((e.name, e.args), []).append((e.start, e.end))
-        assert got == {k: v for k, v in expected.items() if len(k[1]) == 1 or k[1] in shard}
+        want = {k: v for k, v in expected.items() if shard is None or len(k[1]) == 1 or k[1] in shard}
+        assert got == want, f"query {qi}"
+        results.append(res)
+    return results
+
+
+@given(windows, st.integers(1, 3))
+def test_sharded_windows_match_the_pointwise_oracle(window, shards):
+    seed, step, extra = window
+    rng = random.Random(seed)
+    wm = step + extra
+    recs = random_stream(rng, max_delay=extra, retract_share=0.2)
+    pairs = sorted((a, b) for a in ENTITIES for b in ENTITIES if a != b)
+    shard = set(pairs[rng.randrange(shards)::shards])
+    engine = Engine(surveillance(*ENTITIES), EngineConfig(wm=wm, step=step), pair_filter=shard)
+    last_q = step * math.ceil((max(r.arrival for r in recs) + HORIZON + wm) / step)
+    replay_against_the_oracle(engine, recs, last_q, shard)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(3, 8), st.booleans())
+def test_incremental_windows_match_the_pointwise_oracle(seed, step, steps_per_window, delayed):
+    # windows of several steps reuse most of the last query's answers; input
+    # spans of up to 40 ticks straddle the window start.  An in-order stream
+    # changes only the newest step; a delayed one, with retracts, reaches
+    # back up to wm - step ticks
+    rng = random.Random(seed)
+    wm = step * steps_per_window
+    recs = random_stream(rng, max_delay=wm - step if delayed else 0,
+                         retract_share=0.2 if delayed else 0)
+    engine = Engine(surveillance(*ENTITIES), EngineConfig(wm=wm, step=step))
+    last_q = step * math.ceil((max(r.arrival for r in recs) + HORIZON + wm) / step)
+    replay_against_the_oracle(engine, recs, last_q)

@@ -42,6 +42,12 @@ def test_normalize_rejects_empty_interval():
         iv.normalize([(5, 5)])
 
 
+def test_normalize_rejects_a_negative_start_in_a_canonical_list():
+    for ilist in ([(-1, 3)], [(-4, -2), (0, OPEN)]):
+        with pytest.raises(iv.MalformedIntervalError):
+            iv.normalize(ilist)
+
+
 def test_intersect_all_rejects_no_lists():
     with pytest.raises(iv.MalformedIntervalError):
         iv.intersect_all([])
@@ -172,3 +178,22 @@ def test_complement_after_union_is_disjoint(a, b):
     rest = iv.relative_complement_all(joined, [a])
     assert iv.intersect_all([rest, iv.normalize(a)]) == [] if a else True
     assert iv.union_all([rest, iv.normalize(a) if a else []]) == joined
+
+
+@st.composite
+def canonical_lists(draw):
+    """Sorted, disjoint, non-abutting intervals, the last one maybe open."""
+    out, t = [], draw(st.integers(0, 5))
+    for length, gap in draw(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), max_size=6)):
+        out.append((t, t + length))
+        t += length + gap
+    if draw(st.booleans()):
+        out.append((t, OPEN))
+    return out
+
+
+@given(canonical_lists())
+def test_normalize_copies_a_canonical_list(ilist):
+    got = iv.normalize(ilist)
+    assert got == ilist
+    assert got is not ilist
