@@ -629,15 +629,16 @@ class Engine:
         state = self._state
         lo, dirty = state.lo, state.lo if plan.derived else self._dirty
         out = [sol for sol in plan.solutions if lo < sol[1] < dirty]
-        runs = [(None, dirty)]
+        runs = [(live, dirty)]
         if live is not None:
             out = [sol for sol in out if sol[0] in live]
             runs = [(live & plan.live, dirty), (live - plan.live, lo)]
+            plan.live = live
         for state.live, state.dirty in runs:
             out += plan.solve()
             if live is not None:
                 state.indexes.clear()  # an index over the live set holds for one run
-        plan.solutions, plan.live = out, live
+        plan.solutions = out
         return out
 
     def _compute_simple_fluent(self, name: str):
