@@ -13,7 +13,8 @@ just after the last query and the earliest time the input applied at this
 query changes, but not before the window start.  Before it, and after the
 window start, the last query's answers still hold and are reused; the first
 point of the window is always evaluated again, because forgetting cuts input
-intervals there.  A rule that reads a derived fluent or event reuses nothing.
+intervals there.  A rule that reads a derived fluent or event, or input at a
+time other than its head's, reuses nothing.
 
 `Engine.__init__` compiles each rule once into a plan: an ordered chain of
 join steps over variable slots, each reading its source through an index on
@@ -289,9 +290,11 @@ class _PointPlan:
     """A compiled initiatedAt, terminatedAt or happensAt rule and the
     (head arguments, T) solutions it had at the last query, T in its window."""
 
-    def __init__(self, solve: Callable[[], list], derived: bool):
+    def __init__(self, solve: Callable[[], list], whole: bool):
         self.solve = solve  # fresh solutions, T at the window start or from state.dirty
-        self.derived = derived  # reads a derived fluent or event: reuses nothing
+        # reuses nothing: reads a derived fluent or event, or input at a time
+        # other than the head's, which a change after the solution's may move
+        self.whole = whole
         self.solutions: list = []
         self.live: set = set()  # the groundings a termination plan last ran over
 
@@ -489,7 +492,9 @@ class Engine:
             step(env)
             return env[out]
 
-        return _PointPlan(solve, self._reads_derived(rule))
+        other_time = any(lit.time != rule.head_var
+                         for lit in rule.body if isinstance(lit, (HappensAt, HoldsAt)))
+        return _PointPlan(solve, other_time or self._reads_derived(rule))
 
     def _step(self, lit, slots: dict) -> Callable:
         """Compile one body literal, given the variables bound before it, into
@@ -627,7 +632,7 @@ class Engine:
         others.  A termination plan runs over the `live` groundings, and over
         the whole window for those it did not run over at the last query."""
         state = self._state
-        lo, dirty = state.lo, state.lo if plan.derived else self._dirty
+        lo, dirty = state.lo, state.lo if plan.whole else self._dirty
         out = [sol for sol in plan.solutions if lo < sol[1] < dirty]
         runs = [(live, dirty)]
         if live is not None:

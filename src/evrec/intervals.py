@@ -44,7 +44,7 @@ def normalize(raw: Iterable[Interval]) -> IntervalList:
     already, as most inputs are, is only copied.
     """
     given = list(raw)
-    if is_canonical(given) and (not given or given[0][0] >= 0):
+    if _in_canonical_form(given):
         return given
     items = []
     for s, e in given:
@@ -61,6 +61,25 @@ def normalize(raw: Iterable[Interval]) -> IntervalList:
         else:
             merged.append([s, e])
     return [(int(s), _from_inf(e)) for s, e in merged]
+
+
+def _in_canonical_form(items: list) -> bool:
+    """Whether `items` is a canonical list of (int, int or OPEN) tuples with
+    no negative start, the form normalize returns."""
+    prev_end = -1
+    for item in items:
+        if type(item) is not tuple:
+            return False
+        s, e = item
+        if type(s) is not int or s <= prev_end:
+            return False
+        if e is OPEN:
+            prev_end = math.inf  # nothing may follow an open interval
+        elif type(e) is not int or e <= s:
+            return False
+        else:
+            prev_end = e
+    return True
 
 
 def union_all(lists: Sequence[IntervalList]) -> IntervalList:

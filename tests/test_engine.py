@@ -422,6 +422,31 @@ def test_grounding_first_live_at_the_window_start_is_terminated_in_the_reused_ra
     assert [(r.q, e.start, e.end) for r in results for e in r.entries] == [(30, 12, 15)]
 
 
+def test_a_rule_reading_a_second_time_reuses_nothing():
+    # f(x) reads b before its own time, g(x) reads d after it.  At q=30 the
+    # dirty-from time is 21: f's b at 12 lies before it, and g's solution at
+    # 15 gains the d that arrived at 25, so neither may be taken from q=20
+    text = (
+        "input event a/1\ninput event b/1\ninput event c/1\ninput event d/1\n"
+        "simple fluent f/1\nsimple fluent g/1\nground f over ent\nground g over ent\n"
+        "domain ent = {x}\n"
+        "initiatedAt(f(X) = true, T) <- happensAt(a(X), T), happensAt(b(X), T2), T2 < T.\n"
+        "initiatedAt(g(X) = true, T) <- happensAt(c(X), T), happensAt(d(X), T2), T < T2.\n"
+    )
+    ed, _ = lang.load(text)
+    recs = [ev(1, "b", ("x",), 12), ev(2, "c", ("x",), 15), ev(3, "a", ("x",), 25),
+            ev(4, "d", ("x",), 25)]
+    cfg = EngineConfig(wm=40, step=10)
+    reusing, scratch = Engine(ed, cfg), Engine(ed, cfg)
+    for qi in (10, 20, 30, 40):
+        for eng in (reusing, scratch):
+            eng.ingest([r for r in recs if qi - 10 < r.t <= qi])
+        scratch.store.changed_from = -math.inf
+        got = reusing.query(qi).entries
+        assert got == scratch.query(qi).entries, f"query {qi}"
+    assert {(e.name, e.start, e.end) for e in got} == {("f", 26, OPEN), ("g", 16, OPEN)}
+
+
 def test_window_start_reinitiates_person_and_leaving_object():
     # walking straddles the window start 10 at q=30: forgetting cuts it to
     # start at 11, which initiates person again after the disappear at 8.
@@ -632,7 +657,8 @@ def test_incremental_windows_match_the_pointwise_oracle(seed, step, steps_per_wi
 
 # what the surveillance pack lacks: a multi-valued fluent, a derived event
 # read by a rule, statically determined fluents over a union, over a
-# complement and over a simple fluent, and a simple fluent over one of them
+# complement and over a simple fluent, a simple fluent over one of them, and
+# rules that read input at a time before or after the head's
 MIXED_PACK = """domain ent = {a, b, c}
 input event up/1
 input event down/1
@@ -658,6 +684,8 @@ initiatedAt(gate(X) = open, T) <- happensAt(start(hot(X) = true), T).
 terminatedAt(gate(X) = open, T) <- happensAt(end(on(X) = true), T).
 initiatedAt(alarm(X) = true, T) <- happensAt(echo(X), T).
 initiatedAt(alarm(X) = true, T) <- happensAt(start(busy(X) = true), T).
+initiatedAt(alarm(X) = true, T) <-
+    happensAt(up(X), T), happensAt(ping(X), T2), holdsAt(hot(X) = true, T2), T2 < T.
 terminatedAt(alarm(X) = true, T) <- happensAt(end(on(X) = true), T).
 holdsFor(busy(X) = true, I) <-
     holdsFor(on(X) = true, I1), holdsFor(hot(X) = true, I2), union_all([I1, I2], I).
@@ -670,6 +698,7 @@ initiatedAt(watch(X, Y) = true, T) <-
     happensAt(start(near(X, Y) = true), T), holdsAt(on(Y) = true, T).
 terminatedAt(watch(X, Y) = true, T) <- happensAt(end(near(X, Y) = true), T).
 terminatedAt(watch(X, Y) = true, T) <- happensAt(down(Y), T).
+terminatedAt(watch(X, Y) = true, T) <- happensAt(up(Y), T), happensAt(ping(X), T2), T < T2.
 """
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -197,3 +198,14 @@ def test_normalize_copies_a_canonical_list(ilist):
     got = iv.normalize(ilist)
     assert got == ilist
     assert got is not ilist
+
+
+def test_normalize_returns_the_canonical_form_of_a_canonical_list():
+    # an infinite end reads as OPEN, and items come back as int tuples
+    # whether or not the input needed sorting
+    assert iv.normalize([(1, 3), (5, math.inf)]) == [(1, 3), (5, OPEN)]
+    assert iv.normalize([(5, math.inf), (1, 3)]) == [(1, 3), (5, OPEN)]
+    got = iv.normalize([[1, 3], [5, 8]])
+    assert got == [(1, 3), (5, 8)] and all(type(item) is tuple for item in got)
+    got = iv.normalize([(1.0, 3.0)])
+    assert got == [(1, 3)] and all(type(x) is int for x in got[0])
