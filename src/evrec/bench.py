@@ -17,7 +17,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .engine import EngineConfig, RecognitionResult, ResultEntry, run_stream
+from .engine import ConfigError, EngineConfig, RecognitionResult, ResultEntry, run_stream
 from .language import EventDescription
 
 
@@ -135,9 +135,11 @@ def benchmark(
     shards: int = 1,
     tick_ms: int = 40,
 ) -> list[BenchReport]:
+    if tick_ms <= 0:
+        raise ConfigError("tick_ms must be positive")
     reports = []
     for wm in wms:
-        cfg = EngineConfig(wm=wm, step=step, tick_ms=tick_ms)
+        cfg = EngineConfig(wm=wm, step=step)
         _results, latencies = run_sharded(ed, cfg, records, shards)
         if not latencies:
             continue

@@ -7,7 +7,7 @@ import sys
 
 from . import bench as bench_mod
 from . import generator, language, streams
-from .engine import ConfigError, EngineConfig, run_stream
+from .engine import ConfigError, EngineConfig, EvaluationError, run_stream
 
 
 def _load_rules(path: str):
@@ -18,7 +18,8 @@ def _load_rules(path: str):
     for d in diagnostics:
         print(d, file=sys.stderr)
     if errors:
-        raise SystemExit(f"{path}: {len(errors)} rule error(s)")
+        print(f"error: {path}: {len(errors)} rule error(s)", file=sys.stderr)
+        raise SystemExit(2)
     return ed
 
 
@@ -39,7 +40,7 @@ def _prepare(rules_path: str, input_path: str, close_threshold: float):
 def _cmd_run(args) -> int:
     mode = "partial_stable" if args.mode == "partial" else args.mode
     ed, records = _prepare(args.rules, args.input, args.close_threshold)
-    cfg = EngineConfig(wm=args.wm, step=args.step, mode=mode, tick_ms=args.tick_ms)
+    cfg = EngineConfig(wm=args.wm, step=args.step, mode=mode)
     engine, results = run_stream(ed, cfg, records)
     for msg in engine.diagnostics:
         print(msg, file=sys.stderr)
@@ -96,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["asap", "partial", "final"], default="asap",
         help="which stability classes to report",
     )
-    run_p.add_argument("--tick-ms", type=int, default=40, help="tick duration in ms")
     run_p.add_argument(
         "--close-threshold", type=float, default=25.0,
         help="distance (pixels) under which two entities count as close",
@@ -132,6 +132,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         ConfigError,
+        EvaluationError,
         language.RuleSyntaxError,
         language.StratificationError,
         streams.StreamFormatError,

@@ -4,9 +4,10 @@ The engine is driven by query times Q1, Q2, ... spaced `step` ticks apart.
 At each query it applies buffered input, discards everything that took place
 at or before the window start (Qi - wm), and brings every composite fluent up
 to date bottom-up by stratification level.  Intervals that crossed the window
-boundary are reconnected: a statically determined fluent keeps the retained
-prefix and amalgamates it with the fresh result, a simple fluent keeps only
-the start point of the crossing interval and rebuilds the interval from it.
+boundary are reconnected from the last query's results: a statically
+determined fluent keeps the retained prefix and amalgamates it with the fresh
+result, a simple fluent keeps only the start point of the crossing interval
+and rebuilds the interval from it.
 
 Rules are re-evaluated only from a dirty-from time: the earliest of the time
 just after the last query and the earliest time the input applied at this
@@ -16,9 +17,13 @@ point of the window is always evaluated again, because forgetting cuts input
 intervals there.  A rule that reads a derived fluent or event, or input at a
 time other than its head's, reuses nothing.
 
-`Engine.__init__` compiles each rule once into a plan: an ordered chain of
-join steps over variable slots, each reading its source through an index on
-the argument positions bound before it.  Terminations are evaluated only for
+`Engine.__init__` refuses a rule pack for which `language.validate` reports
+an error, and compiles each rule of any other once into a plan: an ordered
+chain of join steps over variable slots, in the order `language.join_order`
+gives, each reading its source through an index on the argument positions
+bound before it.  The plans rely on validate's checks and repeat none of
+them; only an ordering comparison on non-integer values, which depends on
+the data, fails at query time.  Terminations are evaluated only for
 groundings with an initiation or a kept start, and a holdsFor rule only for
 the groundings drawn from its sparsest required input (see README.md).
 
@@ -52,6 +57,10 @@ from .language import (
     IntervalUnion,
     Rule,
     is_var,
+    join_order,
+    read_by,
+    terms_of,
+    validate,
 )
 
 # the stabilities each reporting mode emits
@@ -73,7 +82,6 @@ class EngineConfig:
     wm: int
     step: int
     mode: str = "asap"
-    tick_ms: int = 40
 
     def __post_init__(self):
         if self.step <= 0 or self.wm <= 0:
@@ -82,8 +90,6 @@ class EngineConfig:
             raise ConfigError(f"wm ({self.wm}) must be at least step ({self.step})")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.tick_ms <= 0:
-            raise ConfigError("tick_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -308,6 +314,9 @@ class Engine:
     ):
         if ed.rules and not ed.levels:
             raise ConfigError("event description must be stratified before use")
+        errors = [d for d in validate(ed) if d.severity == "error"]
+        if errors:
+            raise EvaluationError("; ".join(map(str, errors)))
         self.ed = ed
         self.cfg = cfg
         self.store = SdeStore()
@@ -319,10 +328,6 @@ class Engine:
         self._dirty = 0  # this query's dirty-from time
         self._cache: dict[tuple, dict] = {}  # (name, args) -> value -> intervals
         self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
-        # name -> args -> value -> kept start, or retained SD prefix, across the
-        # boundary; the carried SD results hold the prefixes already
-        self.kept_starts: dict[str, dict] = {}
-        self.sd_prefixes: dict[str, dict] = {}
         self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
 
         self._grounded: dict[str, set[tuple]] = {}
@@ -414,8 +419,6 @@ class Engine:
         self._dirty = max(boundary + 1, min(qi - self.cfg.step + 1, self.store.changed_from))
         self.store.changed_from = math.inf
 
-        self._roll_boundary(boundary)
-
         state = self._state
         state.qi, state.lo = qi, boundary + 1
         self._prev_derived = state.derived
@@ -429,27 +432,6 @@ class Engine:
         self.prev_cache = self._cache
         self.next_q = qi + self.cfg.step
         return RecognitionResult(qi, entries, reported)
-
-    def _roll_boundary(self, boundary: int):
-        """Evict finished intervals and record crossing-interval bookkeeping."""
-        self.kept_starts = {}
-        self.sd_prefixes = {}
-        for (name, args), per_value in self.prev_cache.items():
-            simple = self.ed.kind_of(name) == "simple"
-            for value, ilist in per_value.items():
-                for s, e in ilist:
-                    end = math.inf if e is OPEN else e
-                    if end <= boundary:
-                        continue
-                    if simple:
-                        # the initiating point s-1 is gone once it falls at or
-                        # before the boundary; remember the start instead
-                        if s <= boundary + 1:
-                            kept = self.kept_starts.setdefault(name, {}).setdefault(args, {})
-                            kept[value] = s
-                    elif s <= boundary:
-                        kept = self.sd_prefixes.setdefault(name, {}).setdefault(args, {})
-                        kept[value] = (s, boundary + 1)
 
     # -- rule plans ----------------------------------------------------------
 
@@ -465,7 +447,7 @@ class Engine:
             # a grounding with neither an initiation nor a kept start cannot
             # hold, so only the live ones need their terminations
             steps.append(_join(lambda: state.live, head, slots, ("live", name), state.indexes))
-        steps += [self._step(lit, slots) for lit in _join_order(rule, set(slots))]
+        steps += [self._step(lit, slots) for lit in join_order(rule)]
         grounded = self._grounded.get(name, set())
         check = name in self.ed.groundings and rule.kind != TERMINATED
         if any(is_var(a) and a not in slots for a in head):
@@ -473,8 +455,6 @@ class Engine:
             # grounding that matches the bound part
             steps.append(_join(lambda: grounded, head, slots, name, self._domain_indexes))
             check = False
-        if rule.head_var not in slots:
-            raise EvaluationError(f"time variable {rule.head_var!r} left unbound in {rule}")
         build = _builder([(slots[a], None) if is_var(a) else (None, a) for a in head])
         tslot, out = slots[rule.head_var], len(slots)
 
@@ -501,7 +481,7 @@ class Engine:
         a function from the next step to this one."""
         state = self._state
         if isinstance(lit, Comparison):
-            pair = _builder([(slots[x], None) if is_var(x) else (None, x) for x in _terms_of(lit)])
+            pair = _builder([(slots[x], None) if is_var(x) else (None, x) for x in terms_of(lit)])
             return lambda nxt: lambda env: _compare(lit.op, *pair(env)) and nxt(env)
         if isinstance(lit, HoldsAt):
             (rows, intervals), tslot = self._fluent(lit.fluent), slots[lit.time]
@@ -521,7 +501,7 @@ class Engine:
         else:
             rows = lambda: state.events.get(name, _NONE)  # noqa: E731
             points = lambda args: rows()[args]  # noqa: E731
-        join = _join(rows, _terms_of(lit), slots, name, state.indexes)
+        join = _join(rows, terms_of(lit), slots, name, state.indexes)
         bound = lit.time in slots  # before this literal, or by its own arguments
         tslot = slots.setdefault(lit.time, len(slots))
 
@@ -568,9 +548,6 @@ class Engine:
         first = {t: pos for pos, t in reversed(list(enumerate(head))) if is_var(t)}
 
         def over_head(terms):
-            free = [t for t in terms if is_var(t) and t not in first]
-            if free:
-                raise EvaluationError(f"variable {free[0]!r} is not in the head of {rule}")
             return _builder([(first[t], None) if is_var(t) else (None, t) for t in terms])
 
         required = _required_literals(rule)
@@ -584,11 +561,9 @@ class Engine:
                     to_head = _builder([(at[t], None) if is_var(t) else (None, t) for t in head])
                     sources.append((rows, intervals, len(fv.args), to_head, body[-1][1]))
             elif isinstance(lit, Comparison):
-                body.append((lit, over_head(_terms_of(lit)), None, False))
-            elif isinstance(lit, (IntervalUnion, IntervalIntersection, IntervalComplement)):
+                body.append((lit, over_head(terms_of(lit)), None, False))
+            else:  # an interval construct
                 body.append((lit, None, None, False))
-            else:
-                raise EvaluationError(f"literal {lit} is not supported in holdsFor rules")
 
         def evaluate(args: tuple, since: int) -> Optional[IntervalList]:
             env: dict[str, IntervalList] = {}
@@ -602,12 +577,12 @@ class Engine:
                     if not _compare(lit.op, *key(args)):
                         return None
                 elif isinstance(lit, IntervalComplement):
-                    removed = [_need(env, v, rule) for v in lit.removed]
-                    env[lit.out] = iv.relative_complement_all(_need(env, lit.base, rule), removed)
+                    removed = [env[v] for v in lit.removed]
+                    env[lit.out] = iv.relative_complement_all(env[lit.base], removed)
                 else:
                     combine = iv.union_all if isinstance(lit, IntervalUnion) else iv.intersect_all
-                    env[lit.out] = combine([_need(env, v, rule) for v in lit.inputs])
-            return _need(env, rule.head_var, rule)
+                    env[lit.out] = combine([env[v] for v in lit.inputs])
+            return env[rule.head_var]
 
         canon = over_head(head)
         fits = lambda args: len(args) == len(head) and canon(args) == args  # noqa: E731
@@ -616,7 +591,7 @@ class Engine:
     def _reads_derived(self, rule: Rule) -> bool:
         """Whether the body reads a derived fluent or event, whose answers may
         change anywhere in the window."""
-        return any(not self.ed.is_input(_read_by(lit).name)
+        return any(not self.ed.is_input(read_by(lit).name)
                    for lit in rule.body if isinstance(lit, (HappensAt, HoldsAt, HoldsFor)))
 
     # -- evaluation ----------------------------------------------------------
@@ -651,7 +626,15 @@ class Engine:
         for value, plan in self._plans[INITIATED].get(name, []):
             for args, t in self._solutions(plan):
                 starts.setdefault(args, {}).setdefault(value, set()).add(t)
-        kept = self.kept_starts.get(name, {})
+        lo = self._state.lo
+        kept: dict[tuple, dict] = {}  # args -> value -> start of a crossing interval
+        for args, per_value in self._prev_derived.get(name, {}).items():
+            for value, ilist in per_value.items():
+                for s, e in ilist:
+                    # the initiating point s-1 is gone once it falls at or
+                    # before the boundary; the start stands for it
+                    if s <= lo and (e is OPEN or e >= lo):
+                        kept.setdefault(args, {})[value] = s
         live = starts.keys() | kept.keys()
         terms: dict[tuple, dict] = {}
         for value, plan in self._plans[TERMINATED].get(name, []):
@@ -834,44 +817,6 @@ def _split(terms: tuple, slots: dict) -> tuple[list, list, list]:
     return key, binds, same
 
 
-def _read_by(lit):
-    """The fluent or event a holdsAt, holdsFor or happensAt literal reads."""
-    return getattr(lit, "fluent", None) or getattr(lit.event, "fluent", lit.event)
-
-
-def _terms_of(lit) -> tuple:
-    if isinstance(lit, Comparison):
-        return (lit.left, lit.right)
-    return _read_by(lit).args
-
-
-def _join_order(rule: Rule, bound: set) -> list:
-    """The rule's body literals in evaluation order.  Of the literals whose
-    inputs are bound (a holdsAt's time, all of a comparison's arguments), the
-    next is the one binding the fewest new variables, then the one with the
-    most bound arguments, then the first written."""
-    pending, order, bound = list(rule.body), [], set(bound)
-    for lit in pending:
-        if not isinstance(lit, (HappensAt, HoldsAt, Comparison)):
-            raise EvaluationError(f"literal {lit} is not allowed in this rule kind")
-    while pending:
-        ready = []
-        for lit in pending:
-            terms = _terms_of(lit)
-            time = (lit.time,) if isinstance(lit, (HappensAt, HoldsAt)) else ()
-            new = {t for t in terms + time if is_var(t)} - bound
-            needs = {Comparison: terms, HoldsAt: time}.get(type(lit), ())
-            if not new.intersection(needs):
-                ready.append((len(new), -sum(t not in new for t in terms), lit, new))
-        if not ready:
-            raise EvaluationError(f"no binding reaches {pending[0]} in the rule for {rule.head}")
-        _new, _bound, lit, new = min(ready, key=lambda item: item[:2])
-        order.append(lit)
-        pending.remove(lit)
-        bound |= new
-    return order
-
-
 def _compare(op: str, left, right) -> bool:
     if op == "==":
         return left == right
@@ -899,12 +844,6 @@ def _required_literals(rule: Rule) -> list[HoldsFor]:
         elif isinstance(lit, IntervalComplement) and lit.out in required:
             required.add(lit.base)
     return [lit for lit in rule.body if isinstance(lit, HoldsFor) and lit.interval in required]
-
-
-def _need(env: dict, var: str, rule: Rule) -> IntervalList:
-    if var not in env:
-        raise EvaluationError(f"interval variable {var!r} unbound in the rule for {rule.head}")
-    return env[var]
 
 
 # ---------------------------------------------------------------------------

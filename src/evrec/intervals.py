@@ -44,7 +44,7 @@ def normalize(raw: Iterable[Interval]) -> IntervalList:
     already, as most inputs are, is only copied.
     """
     given = list(raw)
-    if _in_canonical_form(given):
+    if is_canonical(given):
         return given
     items = []
     for s, e in given:
@@ -63,11 +63,11 @@ def normalize(raw: Iterable[Interval]) -> IntervalList:
     return [(int(s), _from_inf(e)) for s, e in merged]
 
 
-def _in_canonical_form(items: list) -> bool:
-    """Whether `items` is a canonical list of (int, int or OPEN) tuples with
-    no negative start, the form normalize returns."""
+def is_canonical(intervals: IntervalList) -> bool:
+    """Whether `intervals` is a canonical list of (int, int or OPEN) tuples
+    with no negative start, the form normalize returns."""
     prev_end = -1
-    for item in items:
+    for item in intervals:
         if type(item) is not tuple:
             return False
         s, e = item
@@ -231,15 +231,3 @@ def make_intervals(
             i += 1
     return out
 
-
-def is_canonical(intervals: IntervalList) -> bool:
-    """Check the canonical-list invariants without raising."""
-    prev_end = -math.inf
-    for idx, (s, e) in enumerate(intervals):
-        end = _as_inf(e)
-        if s >= end or s < prev_end or s == prev_end:
-            return False
-        if e is OPEN and idx != len(intervals) - 1:
-            return False
-        prev_end = end
-    return True

@@ -73,15 +73,6 @@ class EventPattern:
 
 
 @dataclass(frozen=True)
-class EventInstance:
-    """A grounded instantaneous event occurrence."""
-
-    name: str
-    args: tuple[Term, ...]
-    t: int
-
-
-@dataclass(frozen=True)
 class BoundaryEvent:
     """Built-in event at each starting or ending point of a fluent-value."""
 
@@ -374,17 +365,9 @@ class _Parser:
             tok = self.peek()
             two = (tok.text, self.peek(1).text)
             if two in _DECL_KINDS:
-                self._declaration(ed, _DECL_KINDS[two])
+                self._declaration(ed, _DECL_KINDS[two], 2)
             elif tok.text == "event" and self.peek(2).text == "/":
-                self.next()
-                name = self._name_token()
-                self.expect("/")
-                arity_tok = self.next()
-                if arity_tok.kind != "int":
-                    self.fail("expected an arity", arity_tok)
-                if name.text in ed.declarations:
-                    self.fail(f"{name.text!r} declared twice", name)
-                ed.declarations[name.text] = Declaration(name.text, "event", int(arity_tok.text))
+                self._declaration(ed, "event", 1)
             elif tok.text == "domain":
                 self._domain(ed)
             elif tok.text == "ground":
@@ -394,9 +377,9 @@ class _Parser:
         self._check_references(ed)
         return ed
 
-    def _declaration(self, ed: EventDescription, kind: str):
-        self.next()
-        self.next()
+    def _declaration(self, ed: EventDescription, kind: str, words: int):
+        """A `<kind words> name/arity` header."""
+        self.pos += words
         name = self._name_token()
         self.expect("/")
         arity_tok = self.next()
@@ -817,48 +800,89 @@ def stratify(ed: EventDescription) -> EventDescription:
 # Validation
 
 
-def _bound_check(rule: Rule) -> Iterator[str]:
-    """Yield variables used before being bound by a positive literal."""
-    bound: set[str] = set()
-    if isinstance(rule.head, (FluentValue, EventPattern)):
-        bound.update(a for a in rule.head.args if is_var(a))
-    if rule.kind != HOLDS_FOR:
-        bound.add(rule.head_var)
+def read_by(lit) -> Union[FluentValue, EventPattern]:
+    """The fluent or event a holdsAt, holdsFor or happensAt literal reads."""
+    return getattr(lit, "fluent", None) or getattr(lit.event, "fluent", lit.event)
+
+
+def terms_of(lit) -> tuple[Term, ...]:
+    """The arguments of a comparison, or of what a literal reads."""
+    if isinstance(lit, Comparison):
+        return (lit.left, lit.right)
+    return read_by(lit).args
+
+
+def join_order(rule: Rule) -> list[Literal]:
+    """The body literals of a point rule in evaluation order, as far as
+    bindings reach; the head's variables start bound in a terminatedAt rule.
+    Of the literals whose inputs are bound (a holdsAt's time, all of a
+    comparison's arguments), the next is the one binding the fewest new
+    variables, then the one with the most bound arguments, then the first
+    written.  A literal left out is one that no binding reaches."""
+    bound = {a for a in rule.head.args if is_var(a)} if rule.kind == TERMINATED else set()
+    pending, order = list(rule.body), []
+    while pending:
+        ready = []
+        for lit in pending:
+            terms = terms_of(lit)
+            time = (lit.time,) if isinstance(lit, (HappensAt, HoldsAt)) else ()
+            new = {t for t in terms + time if is_var(t)} - bound
+            needs = {Comparison: terms, HoldsAt: time}.get(type(lit), ())
+            if not new.intersection(needs):
+                ready.append((len(new), -sum(t not in new for t in terms), lit, new))
+        if not ready:
+            break
+        _new, _bound, lit, new = min(ready, key=lambda item: item[:2])
+        order.append(lit)
+        pending.remove(lit)
+        bound |= new
+    return order
+
+
+def _point_rule_errors(rule: Rule) -> Iterator[str]:
+    """Why the body of an initiatedAt, terminatedAt or happensAt rule cannot be
+    evaluated in any join order."""
+    order = join_order(rule)
+    bound = {t for lit in order for t in terms_of(lit) + (getattr(lit, "time", None),)}
+    if len(order) < len(rule.body):
+        unreached = next(lit for lit in rule.body if lit not in order)
+        yield f"no binding reaches {unreached} in the rule for {rule.head}"
+    elif rule.head_var not in bound:
+        yield f"time variable {rule.head_var!r} is not bound in the rule for {rule.head}"
+
+
+def _holds_for_errors(rule: Rule) -> Iterator[str]:
+    """Why a holdsFor rule cannot be evaluated for each grounding of its head:
+    its conditions must read only head variables, and each interval variable,
+    the head's too, must be defined before it is used."""
+    head = {a for a in rule.head.args if is_var(a)}
+    defined: set[str] = set()
     for lit in rule.body:
-        if isinstance(lit, HappensAt):
-            ev = lit.event
-            args = ev.fluent.args if isinstance(ev, BoundaryEvent) else ev.args
-            bound.update(a for a in args if is_var(a))
-            bound.add(lit.time)
-        elif isinstance(lit, HoldsAt):
-            for a in lit.fluent.args:
-                if is_var(a) and a not in bound:
-                    bound.add(a)  # holdsAt can bind by enumeration
-            if lit.time not in bound:
-                yield lit.time
-        elif isinstance(lit, HoldsFor):
-            bound.update(a for a in lit.fluent.args if is_var(a))
-            bound.add(lit.interval)
-        elif isinstance(lit, IntervalUnion) or isinstance(lit, IntervalIntersection):
-            for v in lit.inputs:
-                if v not in bound:
-                    yield v
-            bound.add(lit.out)
-        elif isinstance(lit, IntervalComplement):
-            for v in (lit.base, *lit.removed):
-                if v not in bound:
-                    yield v
-            bound.add(lit.out)
-        elif isinstance(lit, Comparison):
-            for side in (lit.left, lit.right):
-                if is_var(side) and side not in bound:
-                    yield side
-    if rule.kind == HOLDS_FOR and rule.head_var not in bound:
-        yield rule.head_var
+        if isinstance(lit, (HoldsFor, Comparison)):
+            for t in dict.fromkeys(terms_of(lit)):
+                if is_var(t) and t not in head:
+                    yield f"variable {t!r} is not in the head of the rule for {rule.head}"
+            if isinstance(lit, HoldsFor):
+                defined.add(lit.interval)
+        elif isinstance(lit, (IntervalUnion, IntervalIntersection, IntervalComplement)):
+            used = (lit.base, *lit.removed) if isinstance(lit, IntervalComplement) else lit.inputs
+            if isinstance(lit, IntervalIntersection) and not used:
+                yield f"{lit} has no input in the rule for {rule.head}"
+            for v in used:
+                if v not in defined:
+                    yield (f"interval variable {v!r} is used before it is defined "
+                           f"in the rule for {rule.head}")
+            defined.add(lit.out)
+        else:
+            yield f"literal {lit} is not supported in holdsFor rules"
+    if rule.head_var not in defined:
+        yield f"interval variable {rule.head_var!r} is not defined in the rule for {rule.head}"
 
 
 def validate(ed: EventDescription) -> list[Diagnostic]:
-    """Structural checks on a stratified description.  Diagnostics, not raises."""
+    """Structural checks on a stratified description.  Diagnostics, not raises.
+    A description without errors is one the engine can evaluate; the engine
+    refuses any other."""
     out: list[Diagnostic] = []
     for rule in ed.rules:
         has_constructs = any(
@@ -906,15 +930,11 @@ def validate(ed: EventDescription) -> list[Diagnostic]:
                 out.append(
                     Diagnostic("error", f"head value of {rule.head} must be a constant", rule.line)
                 )
-        for var in _bound_check(rule):
-            out.append(
-                Diagnostic(
-                    "error",
-                    f"variable {var!r} is not bound by a positive literal before use "
-                    f"in rule for {rule.head}",
-                    rule.line,
-                )
-            )
+        if rule.kind == HOLDS_FOR:
+            problems = _holds_for_errors(rule)
+        else:
+            problems = () if has_constructs else _point_rule_errors(rule)
+        out.extend(Diagnostic("error", message, rule.line) for message in problems)
     defined = {r.head.name for r in ed.rules if isinstance(r.head, FluentValue)}
     for name in sorted(defined):
         if name not in ed.groundings:

@@ -129,6 +129,27 @@ def _holds(ilist, t: int) -> bool:
     return any(s <= t and (e is OPEN or t < e) for s, e in ilist)
 
 
+def boundary_seeds(engine, boundary: int) -> dict:
+    """The boundary bookkeeping `surveillance_batch` takes, from the engine's
+    results at its last query; read them before the next query, whose window
+    start is `boundary`.  An interval crossing the boundary gives its start
+    for a simple fluent (s <= boundary + 1), its prefix (s, boundary + 1) for
+    a statically determined one (s <= boundary)."""
+    kept_starts, sd_prefixes = {}, {}
+    for (name, args), per_value in engine.prev_cache.items():
+        simple = engine.ed.kind_of(name) == "simple"
+        for value, ilist in per_value.items():
+            for s, e in ilist:
+                if e is not OPEN and e <= boundary:
+                    continue
+                if simple and s <= boundary + 1:
+                    kept_starts.setdefault(name, {}).setdefault(args, {})[value] = s
+                elif not simple and s <= boundary:
+                    prefix = (s, boundary + 1)
+                    sd_prefixes.setdefault(name, {}).setdefault(args, {})[value] = prefix
+    return {"kept_starts": kept_starts, "sd_prefixes": sd_prefixes}
+
+
 def surveillance_batch(
     events: dict,
     fluents: dict,
@@ -142,8 +163,9 @@ def surveillance_batch(
     `events`: (name, args) -> iterable of ticks.  `fluents`: (name, args) ->
     interval list (the SDE store content, value "true" implied).
     `kept_starts` / `sd_prefixes` carry boundary bookkeeping from the run
-    under test (name -> args -> value -> kept start / retained prefix), since
-    the store no longer holds pre-window evidence.
+    under test (name -> args -> value -> kept start / retained prefix, as
+    `boundary_seeds` gives them), since the store no longer holds pre-window
+    evidence.
     Returns (name, args) -> interval list.
     """
     kept_starts = kept_starts or {}

@@ -168,8 +168,8 @@ def entries_by_fluent(entries):
 
 def windowed_run_with_oracle(recs, wm, step, check_memory=True):
     """Drive the engine query by query and compare each answer with the
-    from-scratch pointwise evaluation of the store, seeded with the engine's
-    boundary bookkeeping."""
+    from-scratch pointwise evaluation of the store, seeded with the intervals
+    the engine's last query found crossing the window start."""
     entities = streams.stream_entities(recs)
     ed = surveillance(entities)
     engine = Engine(ed, EngineConfig(wm=wm, step=step))
@@ -183,12 +183,10 @@ def windowed_run_with_oracle(recs, wm, step, check_memory=True):
         ) <= qi:
             engine.ingest([ordered[idx]])
             idx += 1
+        seeds = reference.boundary_seeds(engine, qi - wm)
         res = engine.query(qi)
         ev_d, fl_d = snapshot_inputs(engine)
-        expected = reference.surveillance_batch(
-            ev_d, fl_d, qi, qi - wm,
-            kept_starts=engine.kept_starts, sd_prefixes=engine.sd_prefixes,
-        )
+        expected = reference.surveillance_batch(ev_d, fl_d, qi, qi - wm, **seeds)
         got = entries_by_fluent(res.entries)
         assert got == expected, f"window/batch mismatch at q={qi} wm={wm} step={step}"
         if check_memory:
@@ -445,7 +443,7 @@ def test_criterion_10_shard_invariance_and_speedup(desk_stream):
     with criterion(10, "shards 1/4/8 give identical intervals and 8 shards "
                        "beat 1 shard on wall time"):
         ed, recs = desk_stream
-        cfg = EngineConfig(wm=500, step=STEP, tick_ms=TICK_MS)
+        cfg = EngineConfig(wm=500, step=STEP)
         outputs, walls = {}, {}
         for shards in (1, 4, 8):
             t0 = time.perf_counter()

@@ -6,6 +6,8 @@ import pytest
 
 from evrec import cli, generator, streams
 
+import packs
+
 RULES = str(res.files("evrec") / "rules" / "surveillance.rtec")
 
 
@@ -119,6 +121,20 @@ def test_rule_diagnostics_block_run(tmp_path, capsys):
                   "--wm", "10", "--step", "10", "--out", "x.jsonl"])
 
 
+@pytest.mark.parametrize("name", sorted(packs.BY_NAME))
+def test_run_reports_a_pack_it_cannot_evaluate_without_a_traceback(tmp_path, capsys, name):
+    stream = tmp_path / "s.jsonl"
+    stream.write_text('{"id": "e1", "kind": "event", "name": "e", "args": ["a"], "t": 5}\n')
+    argv = ["run", "--rules", write_rules(tmp_path, packs.BY_NAME[name]), "--input", str(stream),
+            "--wm", "10", "--step", "10", "--out", str(tmp_path / "out.jsonl")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_reported(tmp_path, capsys):
     code = cli.main(["run", "--rules", RULES, "--input",
                      str(tmp_path / "none.jsonl"),
@@ -130,3 +146,12 @@ def test_bad_wm_list_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["bench", "--rules", RULES, "--input", "x", "--wm", "ten",
                   "--step", "5", "--report", "r.csv"])
+
+
+def test_bench_rejects_a_tick_that_is_not_positive(tmp_path, capsys):
+    stream = tmp_path / "s.jsonl"
+    cli.main(["gen", "--entities", "2", "--duration", "40", "--out", str(stream)])
+    code = cli.main(["bench", "--rules", RULES, "--input", str(stream), "--wm", "40",
+                     "--step", "40", "--tick-ms", "0", "--report", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "tick_ms must be positive" in capsys.readouterr().err

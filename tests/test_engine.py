@@ -24,6 +24,7 @@ from evrec.intervals import OPEN
 from evrec.language import HoldsFor
 from evrec.streams import InputRecord
 
+import packs
 import reference
 
 PACK = (res.files("evrec") / "rules" / "surveillance.rtec").read_text()
@@ -483,8 +484,8 @@ def test_update_moves_an_end_back_into_the_reused_range():
 
 
 def test_state_stays_inside_the_window_on_a_long_stream():
-    # every solution, interval, kept start, prefix and stored item lies after
-    # the window start, but for intervals that cross it
+    # every solution, interval and stored item lies after the window start,
+    # but for intervals that cross it
     ed = surveillance("p1", "p2")
     recs, wm = [], 40
     for k, t in enumerate(range(0, 3000, 30)):
@@ -502,13 +503,6 @@ def test_state_stays_inside_the_window_on_a_long_stream():
         while idx < len(recs) and record_occurrence(recs[idx]) <= qi:
             engine.ingest([recs[idx]])
             idx += 1
-        crossing = {
-            (name, args, value, s)
-            for (name, args), per_value in engine.prev_cache.items()
-            for value, ilist in per_value.items()
-            for s, e in ilist
-            if e is OPEN or e > qi - wm
-        }
         engine.query(qi)
         b = qi - wm
         assert engine.store.min_content() is None or engine.store.min_content() > b
@@ -518,12 +512,6 @@ def test_state_stays_inside_the_window_on_a_long_stream():
                     assert all(t > b for _args, t in getattr(plan, "solutions", ()))
         for per_value in engine.prev_cache.values():
             assert all(e is OPEN or e > b for ilist in per_value.values() for _s, e in ilist)
-        for name, per_args in engine.kept_starts.items():
-            for args, per_value in per_args.items():
-                assert all((name, args, v, s) in crossing for v, s in per_value.items())
-        for per_args in engine.sd_prefixes.values():
-            for per_value in per_args.values():
-                assert all(e == b + 1 for _s, e in per_value.values())
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +595,7 @@ def replay_against_the_oracle(engine, recs, last_q, shard=None) -> list:
         while idx < len(recs) and record_arrival(recs[idx]) <= qi:
             engine.ingest([recs[idx]])
             idx += 1
+        seeds = reference.boundary_seeds(engine, qi - wm)
         res = engine.query(qi)
         events, durative = engine.store.snapshot()
         ev_d, fl_d = {}, {}
@@ -614,10 +603,7 @@ def replay_against_the_oracle(engine, recs, last_q, shard=None) -> list:
             ev_d.setdefault((name, args), set()).add(t)
         for (name, args, _value), ilist in durative.items():
             fl_d[(name, args)] = ilist
-        expected = reference.surveillance_batch(
-            ev_d, fl_d, qi, qi - wm,
-            kept_starts=engine.kept_starts, sd_prefixes=engine.sd_prefixes,
-        )
+        expected = reference.surveillance_batch(ev_d, fl_d, qi, qi - wm, **seeds)
         got = {}
         for e in res.entries:
             got.setdefault((e.name, e.args), []).append((e.start, e.end))
@@ -761,3 +747,18 @@ def test_reused_answers_equal_the_from_scratch_ones(seed, step, steps_per_window
         scratch.store.changed_from = -math.inf
         assert reusing.query(qi).entries == scratch.query(qi).entries, f"query {qi}"
         assert reusing.diagnostics == scratch.diagnostics
+
+
+TEST_PACKS = {"surveillance": PACK, "mixed": MIXED_PACK, **packs.BY_NAME}
+
+
+@pytest.mark.parametrize("name", sorted(TEST_PACKS))
+def test_the_engine_refuses_exactly_the_packs_validate_rejects(name):
+    ed, diagnostics = lang.load(TEST_PACKS[name])
+    errors = [str(d) for d in diagnostics if d.severity == "error"]
+    if errors:
+        with pytest.raises(EvaluationError) as refused:
+            Engine(ed, EngineConfig(wm=10, step=10))
+        assert all(error in str(refused.value) for error in errors)
+    else:
+        Engine(ed, EngineConfig(wm=10, step=10))

@@ -15,6 +15,8 @@ from evrec.language import (
     StratificationError,
 )
 
+import packs
+
 PACK = (res.files("evrec") / "rules" / "surveillance.rtec").read_text()
 
 
@@ -149,6 +151,15 @@ def test_validate_requires_event_literal():
     )
     ed, diagnostics = lang.load(text)
     assert any("no event literal" in d.message for d in diagnostics)
+
+
+@pytest.mark.parametrize("name", sorted(packs.UNEVALUABLE))
+def test_load_reports_a_rule_the_engine_cannot_evaluate_with_its_line(name):
+    text, says = packs.UNEVALUABLE[name]
+    _ed, diagnostics = lang.load(text)
+    errors = [d for d in diagnostics if d.severity == "error"]
+    assert [d.line for d in errors] == [8]
+    assert says in errors[0].message
 
 
 def test_validate_flags_simple_with_holds_for():
