@@ -1,7 +1,8 @@
 """The rule language: declarations, clauses, shorthand and stratification.
 
 Loads the bundled surveillance pack, shows its dependency levels, and
-demonstrates the `iff` shorthand expanding into interval constructs.
+shows the holdsFor rule over interval constructs that the parser makes of an
+`iff` shorthand definition.
 """
 
 import importlib.resources as res
@@ -18,7 +19,8 @@ print("evaluation levels (inputs sit at 0):")
 for name in ("walking", "close", "person", "moving", "moving_sd", "leaving_object"):
     print(f"  {name:15s} level {ed.fluent_level(name)}")
 
-# The shorthand form compiles to one holdsFor clause over interval constructs.
+# The parser turns the shorthand form into one holdsFor clause over interval
+# constructs.
 pack = """
 input fluent a/1
 input fluent b/1
@@ -31,5 +33,5 @@ g(X) = on iff (a(X) = on or b(X) = on), not c(X) = on.
 """
 parsed = lang.parse(pack)
 print()
-print("shorthand definition expands to:")
-print(lang.expand_iff(parsed.iff_definitions[0]))
+print("shorthand definition parses to:")
+print(parsed.rules[0])

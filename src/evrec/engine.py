@@ -101,10 +101,6 @@ class ResultEntry:
     end: Optional[int]  # None while the endpoint is unknown
     stability: str  # "open" | "partial" | "final"
 
-    @property
-    def fluent(self) -> tuple:
-        return (self.name, self.args, self.value)
-
 
 @dataclass
 class RecognitionResult:
@@ -322,6 +318,7 @@ class Engine:
         self.store = SdeStore()
         self.pending: list = []
         self.diagnostics: list[str] = []
+        self._ties: set[tuple] = set()  # (name, args, t) of initiation ties reported
         self.next_q = cfg.step
         self.prev_cache: dict[tuple, dict] = {}
         self._prev_derived: dict[str, dict] = {}  # prev_cache by name, as state.derived
@@ -330,8 +327,9 @@ class Engine:
         self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
         self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
 
+        heads = {r.head.name for r in ed.rules}
         self._grounded: dict[str, set[tuple]] = {}
-        for name in set(ed.groundings) | {r.head.name for r in ed.rules}:
+        for name in heads:
             tuples = set(ed.grounded_tuples(name))
             decl = ed.declarations.get(name)
             if pair_filter is not None and decl and decl.arity == 2:
@@ -344,14 +342,13 @@ class Engine:
             value = getattr(rule.head, "value", None)
             self._plans[rule.kind].setdefault(rule.head.name, []).append((value, plan))
 
+        computes = {"event": Engine._compute_events, "simple": Engine._compute_simple_fluent,
+                    "sd": Engine._compute_sd_fluent}
         schedule = []
-        for name in {r.head.name for r in ed.rules}:
-            if name in self._plans[HAPPENS]:
-                schedule.append((ed.event_level(name), "event", name, Engine._compute_events))
-            else:
-                simple = ed.kind_of(name) == "simple"
-                compute = Engine._compute_simple_fluent if simple else Engine._compute_sd_fluent
-                schedule.append((ed.fluent_level(name), "fluent", name, compute))
+        for name in heads:
+            kind = ed.kind_of(name)
+            node = ("event" if kind == "event" else "fluent", name)
+            schedule.append((ed.levels[node], *node, computes[kind]))
         self._schedule = [item[2:] for item in sorted(schedule, key=lambda item: item[:3])]
 
         # value declaration order per simple fluent, for initiation tie-breaks
@@ -359,13 +356,9 @@ class Engine:
 
     # -- input ---------------------------------------------------------------
 
-    def ingest(self, records: Iterable) -> int:
+    def ingest(self, records: Iterable):
         """Buffer input records; they take effect at the next query."""
-        count = 0
-        for rec in records:
-            self.pending.append(rec)
-            count += 1
-        return count
+        self.pending.extend(records)
 
     def _apply(self, rec, boundary: int):
         if rec.action in ("retract", "update"):
@@ -414,6 +407,7 @@ class Engine:
             self._apply(rec, boundary)
         self.pending.clear()
         self.store.forget(boundary)
+        self._ties = {tie for tie in self._ties if tie[2] > boundary}
         # the last query's answers hold up to its own query time, and up to the
         # earliest change applied now; before the first query nothing is stored
         self._dirty = max(boundary + 1, min(qi - self.cfg.step + 1, self.store.changed_from))
@@ -654,9 +648,12 @@ class Engine:
                     values.sort(key=lambda v: order.index(v) if v in order else len(order))
                     for loser in values[1:]:
                         per_value[loser].discard(t)
-                        self.diagnostics.append(
+                    if (name, args, t) not in self._ties:
+                        self._ties.add((name, args, t))
+                        self.diagnostics.extend(
                             f"simultaneous initiation of {name}{args} values "
                             f"{values[0]!r} and {loser!r} at {t}; kept {values[0]!r}"
+                            for loser in values[1:]
                         )
             kept_here = kept.get(args, {})
             result: dict = {}

@@ -26,7 +26,7 @@ value to a fluent::
         intersect_all([I1, I2, I3], I).
 
 A fluent defined by a boolean combination of other fluent-values can use the
-shorthand form, expanded into a single holdsFor clause at load time::
+shorthand form, which the parser expands into a single holdsFor clause::
 
     g(X) = on iff (a(X) = on or b(X) = on), not c(X) = on.
 
@@ -175,14 +175,6 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class IffDefinition:
-    head: FluentValue
-    groups: tuple[tuple[FluentValue, ...], ...]  # each group is a disjunction
-    negated: tuple[FluentValue, ...]
-    line: int = 0
-
-
-@dataclass(frozen=True)
 class Declaration:
     name: str
     kind: str  # input_event | input_fluent | simple | sd
@@ -221,8 +213,7 @@ class EventDescription:
     auto_domains: set[str] = field(default_factory=set)
     groundings: dict[str, DomainExpr] = field(default_factory=dict)
     rules: list[Rule] = field(default_factory=list)
-    iff_definitions: list[IffDefinition] = field(default_factory=list)
-    levels: dict[tuple, int] = field(default_factory=dict)
+    levels: dict[tuple, int] = field(default_factory=dict)  # ("fluent" | "event", name)
 
     def kind_of(self, name: str) -> Optional[str]:
         decl = self.declarations.get(name)
@@ -259,8 +250,7 @@ class EventDescription:
         return replace(self, domains=domains)
 
     def fluent_level(self, name: str) -> int:
-        levels = [lv for key, lv in self.levels.items() if key[0] == "fluent" and key[1] == name]
-        return max(levels, default=0)
+        return self.levels.get(("fluent", name), 0)
 
     def event_level(self, name: str) -> int:
         return self.levels.get(("event", name), 0)
@@ -430,7 +420,7 @@ class _Parser:
         if start.text in (INITIATED, TERMINATED, HAPPENS, HOLDS_FOR):
             ed.rules.append(self._rule(start.text))
         elif start.kind == "name":
-            ed.iff_definitions.append(self._iff_definition())
+            ed.rules.append(self._iff_definition())
         else:
             self.fail(f"expected a declaration or clause, found {start.text!r}", start)
 
@@ -515,7 +505,8 @@ class _Parser:
         right = self._term()
         return Comparison(left, op.text, right)
 
-    def _iff_definition(self) -> IffDefinition:
+    def _iff_definition(self) -> Rule:
+        """A `head iff ...` shorthand definition, as its holdsFor rule."""
         start = self.peek()
         head = self._fluent_value()
         kw = self.next()
@@ -552,7 +543,7 @@ class _Parser:
         self.expect(".")
         if not groups:
             self.fail("shorthand definition needs at least one positive conjunct", start)
-        return IffDefinition(head, tuple(groups), tuple(negated), line=start.line)
+        return _expand_iff(head, groups, negated, start.line)
 
     # -- small pieces -------------------------------------------------------
 
@@ -659,13 +650,6 @@ class _Parser:
                         check_event(lit.event, rule.line)
                 elif isinstance(lit, (HoldsAt, HoldsFor)):
                     check_fluent(lit.fluent, rule.line)
-        for d in ed.iff_definitions:
-            check_fluent(d.head, d.line)
-            for group in d.groups:
-                for fv in group:
-                    check_fluent(fv, d.line)
-            for fv in d.negated:
-                check_fluent(fv, d.line)
         for name, expr in ed.groundings.items():
             if name not in ed.declarations:
                 raise RuleSyntaxError(f"grounding for undeclared name {name!r}", 1, 1)
@@ -673,28 +657,13 @@ class _Parser:
                 raise RuleSyntaxError(f"grounding refers to unknown domain {expr.domain!r}", 1, 1)
 
 
-def parse(text: str) -> EventDescription:
-    """Parse a rule pack.  Shorthand definitions are kept unexpanded."""
-    return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# Shorthand expansion
-
-
-class UnsupportedShorthandError(ValueError):
-    pass
-
-
-def expand_iff(definition: IffDefinition) -> Rule:
+def _expand_iff(head: FluentValue, groups: list, negated: list, line: int) -> Rule:
     """Turn an `iff` definition into one holdsFor rule.
 
     Each disjunction group becomes holdsFor literals combined with union_all,
     groups combine with intersect_all, and trailing negations are removed with
     relative_complement_all.
     """
-    if not definition.groups:
-        raise UnsupportedShorthandError("definition has no positive conjuncts")
     counter = 0
 
     def fresh() -> str:
@@ -704,7 +673,7 @@ def expand_iff(definition: IffDefinition) -> Rule:
 
     body: list[Literal] = []
     group_vars: list[str] = []
-    for group in definition.groups:
+    for group in groups:
         member_vars = []
         for fv in group:
             v = fresh()
@@ -721,9 +690,9 @@ def expand_iff(definition: IffDefinition) -> Rule:
     else:
         positive = fresh()
         body.append(IntervalIntersection(tuple(group_vars), positive))
-    if definition.negated:
+    if negated:
         removed = []
-        for fv in definition.negated:
+        for fv in negated:
             v = fresh()
             body.append(HoldsFor(fv, v))
             removed.append(v)
@@ -731,13 +700,12 @@ def expand_iff(definition: IffDefinition) -> Rule:
         body.append(IntervalComplement(positive, tuple(removed), out))
     else:
         out = positive
-    return Rule(HOLDS_FOR, definition.head, out, tuple(body), line=definition.line)
+    return Rule(HOLDS_FOR, head, out, tuple(body), line=line)
 
 
-def expand(ed: EventDescription) -> EventDescription:
-    """Expand all shorthand definitions into holdsFor rules."""
-    rules = list(ed.rules) + [expand_iff(d) for d in ed.iff_definitions]
-    return replace(ed, rules=rules, iff_definitions=[])
+def parse(text: str) -> EventDescription:
+    """Parse a rule pack.  A shorthand definition becomes its holdsFor rule."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +717,7 @@ class StratificationError(ValueError):
 
 
 def _node_of(item: Union[FluentValue, EventPattern]) -> tuple:
-    if isinstance(item, FluentValue):
-        return ("fluent", item.name, item.value)
-    return ("event", item.name)
+    return ("fluent" if isinstance(item, FluentValue) else "event", item.name)
 
 
 def _body_nodes(rule: Rule) -> Iterator[tuple]:
@@ -766,10 +732,12 @@ def _body_nodes(rule: Rule) -> Iterator[tuple]:
 
 
 def stratify(ed: EventDescription) -> EventDescription:
-    """Assign hierarchy levels to fluent-values and events.
+    """Assign hierarchy levels to fluent and event names, the units the
+    engine evaluates one at a time.
 
-    Input items sit at level 0; every defined item sits one level above its
-    highest dependency.  A cyclic dependency is rejected.
+    Input names sit at level 0; every defined name sits one level above its
+    highest dependency.  A cyclic dependency is rejected, and so is a fluent
+    that reads one of its own values.
     """
     deps: dict[tuple, set[tuple]] = {}
     for rule in ed.rules:
@@ -780,7 +748,7 @@ def stratify(ed: EventDescription) -> EventDescription:
     try:
         order = list(TopologicalSorter(deps).static_order())
     except CycleError as exc:
-        cycle = " -> ".join("=".join(map(str, node[1:])) for node in exc.args[1])
+        cycle = " -> ".join(node[1] for node in exc.args[1])
         raise StratificationError(f"cyclic dependency: {cycle}") from exc
 
     levels: dict[tuple, int] = {}
@@ -885,6 +853,10 @@ def validate(ed: EventDescription) -> list[Diagnostic]:
     refuses any other."""
     out: list[Diagnostic] = []
     for rule in ed.rules:
+        if ed.is_input(rule.head.name):
+            kind = ed.kind_of(rule.head.name).replace("_", " ")
+            out.append(Diagnostic("error", f"{rule.head.name!r} is an {kind}; no rule can "
+                                  f"define it ({rule.kind} {rule.head})", rule.line))
         has_constructs = any(
             isinstance(l, (IntervalUnion, IntervalIntersection, IntervalComplement, HoldsFor))
             for l in rule.body
@@ -935,7 +907,8 @@ def validate(ed: EventDescription) -> list[Diagnostic]:
         else:
             problems = () if has_constructs else _point_rule_errors(rule)
         out.extend(Diagnostic("error", message, rule.line) for message in problems)
-    defined = {r.head.name for r in ed.rules if isinstance(r.head, FluentValue)}
+    defined = {r.head.name for r in ed.rules
+               if isinstance(r.head, FluentValue) and not ed.is_input(r.head.name)}
     for name in sorted(defined):
         if name not in ed.groundings:
             out.append(Diagnostic("error", f"no grounding domain declared for {name!r}"))
@@ -945,8 +918,8 @@ def validate(ed: EventDescription) -> list[Diagnostic]:
 
 
 def load(text: str) -> tuple[EventDescription, list[Diagnostic]]:
-    """Parse, expand, stratify and validate in one step."""
-    ed = stratify(expand(parse(text)))
+    """Parse, stratify and validate in one step."""
+    ed = stratify(parse(text))
     return ed, validate(ed)
 
 
@@ -976,14 +949,4 @@ def pretty(ed: EventDescription) -> str:
     for rule in ed.rules:
         lines.append("")
         lines.append(str(rule))
-    for d in ed.iff_definitions:
-        lines.append("")
-        parts = []
-        for group in d.groups:
-            if len(group) == 1:
-                parts.append(str(group[0]))
-            else:
-                parts.append("(" + " or ".join(map(str, group)) + ")")
-        parts.extend(f"not {fv}" for fv in d.negated)
-        lines.append(f"{d.head} iff\n    " + ",\n    ".join(parts) + ".")
     return "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -73,9 +74,6 @@ class StreamDocument:
 
     def __iter__(self) -> Iterator[InputRecord]:
         return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _require(obj: dict, key: str, line: int):
@@ -208,19 +206,21 @@ class DelayModel:
 
 def simulate_delays(records: Sequence[InputRecord], model: DelayModel) -> list[InputRecord]:
     """Assign arrival times and sort by arrival (ties: occurrence, then id).
+    A retract, which has no occurrence time, arrives with the record before
+    it and stays right after it.
 
     Input records are expected in order with no arrival set; deterministic for
     a fixed seed.
     """
     rng = random.Random(model.seed)
-    delayed = []
+    delayed, key = [], (0,)
     for rec in records:
-        occ = record_occurrence(rec)
-        delayed.append(
-            InputRecord(**{**rec.__dict__, "arrival": occ + model.sample(rng)})
-        )
-    delayed.sort(key=lambda r: (r.arrival, record_occurrence(r), r.id))
-    return delayed
+        if rec.action != "retract":
+            occ = record_occurrence(rec)
+            key = (occ + model.sample(rng), occ, rec.id)
+        delayed.append((key, InputRecord(**{**rec.__dict__, "arrival": key[0]})))
+    delayed.sort(key=itemgetter(0))
+    return [rec for _key, rec in delayed]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,14 @@ _RULES = {
         "holdsFor(h(X) = true, I) <- holdsFor(g(X) = true, I1), intersect_all([], I).",
         "intersect_all([], I) has no input",
     ),
+    "input fluent as a head": (
+        "initiatedAt(g(X) = true, T) <- happensAt(e(X), T).",
+        "'g' is an input fluent; no rule can define it",
+    ),
+    "input event as a head": (
+        "happensAt(e(X), T) <- happensAt(start(g(X) = true), T).",
+        "'e' is an input event; no rule can define it",
+    ),
 }
 UNEVALUABLE = {name: (DECLARATIONS + rule + "\n", says) for name, (rule, says) in _RULES.items()}
 

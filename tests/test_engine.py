@@ -249,6 +249,22 @@ def test_value_conflict_first_declared_wins():
     assert expected == {"open": [(6, 20)], "shut": [(21, OPEN)]}
 
 
+def test_an_initiation_tie_is_reported_once():
+    text = (
+        "input event up/1\ninput event down/1\n"
+        "simple fluent gate/1\nground gate over ent\ndomain ent = {g}\n"
+        "initiatedAt(gate(X) = open, T) <- happensAt(up(X), T).\n"
+        "initiatedAt(gate(X) = shut, T) <- happensAt(down(X), T).\n"
+    )
+    ed, _ = lang.load(text)
+    recs = [ev(1, "up", ("g",), 5), ev(2, "down", ("g",), 5)]
+    # the tie at 5 stays in the window (wm 50) for the five queries up to 50
+    eng, _results = run_stream(ed, EngineConfig(wm=50, step=10), recs, last_q=50)
+    assert eng.diagnostics == [
+        "simultaneous initiation of gate('g',) values 'open' and 'shut' at 5; kept 'open'"
+    ]
+
+
 def test_derived_event_feeds_higher_level():
     text = (
         "input event tick/1\nevent echo/1\nsimple fluent lit/1\n"

@@ -31,8 +31,8 @@ def test_parse_bundled_pack():
     assert ed.kind_of("close") == "input_fluent"
     assert ed.declarations["close"].arity == 2
     assert "entity" in ed.auto_domains
-    assert len(ed.rules) == 13
-    assert len(ed.iff_definitions) == 1
+    assert len(ed.rules) == 14
+    assert (ed.rules[-1].kind, ed.rules[-1].head.name) == (HOLDS_FOR, "moving_sd")
 
 
 def test_load_bundled_pack_is_clean():
@@ -90,7 +90,7 @@ def test_iff_expansion_shape():
         "sd fluent g/1\nground g over ent\ndomain ent = {x}\n"
         "g(X) = on iff (a(X) = on or b(X) = on), c(X) = on, not d(X) = on.\n"
     )
-    rule = lang.expand_iff(ed.iff_definitions[0])
+    [rule] = ed.rules
     assert rule.kind == HOLDS_FOR
     kinds = [type(lit) for lit in rule.body]
     assert kinds.count(HoldsFor) == 4
@@ -106,20 +106,39 @@ def test_iff_single_conjunct_needs_no_constructs():
         "input fluent a/1\nsd fluent g/1\nground g over ent\ndomain ent = {x}\n"
         "g(X) = on iff a(X) = on.\n"
     )
-    rule = lang.expand_iff(ed.iff_definitions[0])
+    [rule] = ed.rules
     assert [type(lit) for lit in rule.body] == [HoldsFor]
     assert rule.body[0].interval == rule.head_var
 
 
-def test_cycle_detection():
-    text = (
+TWO_SIMPLE = (
+    "input event e/1\ninput event h/1\nsimple fluent f/1\nsimple fluent g/1\n"
+    "ground f over ent\nground g over ent\ndomain ent = {x}\n"
+    "initiatedAt(f(X) = a, T) <- happensAt(e(X), T).\n"
+)
+CYCLES = {
+    "two sd fluents": (
         "input event e/1\nsd fluent a/1\nsd fluent b/1\n"
         "ground a over ent\nground b over ent\ndomain ent = {x}\n"
         "holdsFor(a(X) = true, I) <- holdsFor(b(X) = true, I).\n"
         "holdsFor(b(X) = true, I) <- holdsFor(a(X) = true, I).\n"
-    )
+    ),
+    # no value reads itself, but f=d reads g=c and g=b reads f=a
+    "values of two fluents": TWO_SIMPLE + (
+        "initiatedAt(g(X) = c, T) <- happensAt(e(X), T).\n"
+        "initiatedAt(g(X) = b, T) <- happensAt(h(X), T), holdsAt(f(X) = a, T).\n"
+        "initiatedAt(f(X) = d, T) <- happensAt(h(X), T), holdsAt(g(X) = c, T).\n"
+    ),
+    "a fluent reading another of its values": TWO_SIMPLE + (
+        "initiatedAt(f(X) = b, T) <- happensAt(h(X), T), holdsAt(f(X) = a, T).\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLES))
+def test_cycle_detection(name):
     with pytest.raises(StratificationError):
-        lang.load(text)
+        lang.load(CYCLES[name])
 
 
 def test_simple_fluent_needs_a_level():

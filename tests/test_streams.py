@@ -108,6 +108,18 @@ def test_delay_uniform_is_seeded_and_bounded():
     assert [r.arrival for r in a] == sorted(r.arrival for r in a)
 
 
+def test_delay_puts_a_retract_after_the_record_before_it():
+    recs = make_events(6)
+    recs.insert(3, InputRecord(id="w", kind="interval", name="walking", args=("x",),
+                               value="true", start=7, end=12))
+    recs.insert(4, InputRecord(id="w", action="retract"))
+    out = streams.simulate_delays(recs, DelayModel("uniform", 0, 9, seed=42))
+    at = [i for i, r in enumerate(out) if r.id == "w"]
+    assert [out[i].action for i in at] == ["assert", "retract"]
+    assert at[1] == at[0] + 1
+    assert out[at[1]].arrival == out[at[0]].arrival
+
+
 def test_delay_model_validation():
     with pytest.raises(ValueError):
         DelayModel("normal")
