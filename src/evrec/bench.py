@@ -94,6 +94,8 @@ def run_sharded(
     Returns merged per-query results and the effective per-query latencies
     (the slowest shard at each query, since shards run in parallel).
     """
+    if shards < 1:
+        raise ConfigError(f"shards must be at least 1, got {shards}")
     pairs = all_pairs(ed)
     if shards > max(1, len(pairs)):
         warnings.warn(
@@ -137,6 +139,8 @@ def benchmark(
 ) -> list[BenchReport]:
     if tick_ms <= 0:
         raise ConfigError("tick_ms must be positive")
+    if shards < 1:
+        raise ConfigError(f"shards must be at least 1, got {shards}")
     reports = []
     for wm in wms:
         cfg = EngineConfig(wm=wm, step=step)

@@ -67,7 +67,9 @@ def _cmd_bench(args) -> int:
     try:
         wms = [int(x) for x in args.wm.split(",") if x]
     except ValueError:
-        raise SystemExit(f"bad window list {args.wm!r}; expected e.g. 100,200,400")
+        wms = []
+    if not wms:
+        raise ConfigError(f"bad window list {args.wm!r}; expected e.g. 100,200,400")
     ed, records = _prepare(args.rules, args.input, args.close_threshold)
     reports = bench_mod.benchmark(
         ed, records, wms, args.step, shards=args.shards, tick_ms=args.tick_ms

@@ -2,20 +2,25 @@
 
 The engine is driven by query times Q1, Q2, ... spaced `step` ticks apart.
 At each query it applies buffered input, discards everything that took place
-at or before the window start (Qi - wm), and brings every composite fluent up
-to date bottom-up by stratification level.  Intervals that crossed the window
-boundary are reconnected from the last query's results: a statically
-determined fluent keeps the retained prefix and amalgamates it with the fresh
-result, a simple fluent keeps only the start point of the crossing interval
-and rebuilds the interval from it.
+at or before the window start (Qi - wm), brings the store's point index up to
+the new window, and brings every composite fluent up to date bottom-up by
+stratification level.
 
-Rules are re-evaluated only from a dirty-from time: the earliest of the time
+Work follows what changed, from a dirty-from time d: the earliest of the time
 just after the last query and the earliest time the input applied at this
-query changes, but not before the window start.  Before it, and after the
-window start, the last query's answers still hold and are reused; the first
-point of the window is always evaluated again, because forgetting cuts input
-intervals there.  A rule that reads a derived fluent or event, or input at a
-time other than its head's, reuses nothing.
+query changes, but not before the window start.  The point index hands a rule
+only the input points at the window start and in [d, Qi], so rules are solved
+only there.  A simple fluent carries each grounding's intervals and
+initiations before d, and rebuilds its chain from d on only for groundings
+with a fresh initiation or termination or one that holds into d; a grounding
+whose state at the window start changed is rebuilt from the window start, from
+the start of an interval crossing it.  A statically determined fluent carries
+its intervals before d, whose part before the window start is the retained
+prefix, and amalgamates them with a fresh result from d.  The first point of
+the window is always evaluated again, because forgetting cuts input intervals
+there.  A rule that reads a derived fluent or event, or input at a time other
+than its head's, reuses nothing and makes its fluent evaluate from the window
+start.
 
 `Engine.__init__` refuses a rule pack for which `language.validate` reports
 an error, and compiles each rule of any other once into a plan: an ordered
@@ -24,8 +29,9 @@ gives, each reading its source through an index on the argument positions
 bound before it.  The plans rely on validate's checks and repeat none of
 them; only an ordering comparison on non-integer values, which depends on
 the data, fails at query time.  Terminations are evaluated only for
-groundings with an initiation or a kept start, and a holdsFor rule only for
-the groundings drawn from its sparsest required input (see README.md).
+groundings that hold into the part being rebuilt or have an initiation there,
+and a holdsFor rule only for the groundings drawn from its sparsest required
+input (see README.md).
 
 One engine instance is single-threaded; scale-out is by running independent
 instances over disjoint groundings, each fed the complete stream.
@@ -34,6 +40,7 @@ instances over disjoint groundings, each fed the complete stream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
@@ -117,13 +124,31 @@ def select_reported(entries: Iterable[ResultEntry], mode: str) -> list[ResultEnt
 
 
 def _materialize(ilist: IntervalList, bound: int) -> IntervalList:
-    """Replace an OPEN tail by a finite end one past `bound` for set arithmetic."""
-    if ilist and ilist[-1][1] is OPEN:
-        s = ilist[-1][0]
+    """Cut at `bound` for set arithmetic: drop what starts after it, and end
+    what reaches further, or is OPEN, one past it."""
+    if not ilist or ilist[-1][1] is not OPEN and ilist[-1][1] <= bound + 1:
+        return ilist
+    out = []
+    for s, e in ilist:
         if s > bound:
-            return ilist[:-1]
-        return ilist[:-1] + [(s, bound + 1)]
-    return ilist
+            break
+        out.append((s, bound + 1) if e is OPEN or e > bound + 1 else (s, e))
+    return out
+
+
+def _carried(ilist: IntervalList, lo: int, since: int) -> IntervalList:
+    """The part before `since` of the last query's intervals that the window
+    starting at `lo` keeps; an interval ending at `lo` still crosses its start."""
+    out = []
+    for s, e in ilist:
+        if s >= since:
+            break
+        if e is OPEN or e > since:
+            out.append((s, since))
+            break
+        if e >= lo:
+            out.append((s, e))
+    return out
 
 
 def _reopen(ilist: IntervalList, bound: int) -> IntervalList:
@@ -149,12 +174,28 @@ class SdeStore:
         # the earliest time that content added or removed since the owner last
         # reset it covers; forgetting does not count
         self.changed_from = math.inf
+        # The point index, brought up to a window start by `index`.  `content`
+        # holds each fluent slot's canonical content, and `times` each event
+        # slot's sorted times, as of the slot's last change; what forgetting
+        # has dropped or cut since lies before the window start, which no
+        # read looks at.  `at` maps (name, "start" or "end", value) of a fluent
+        # and (name, "happens", None) of an event to the argument tuples with
+        # a point at each time from the window start on; `covering` maps
+        # (name, value) to those whose content holds at the window start,
+        # where the window sees it start.
+        self.content: dict[str, dict[tuple, dict[object, IntervalList]]] = {}
+        self.times: dict[tuple, list[int]] = {}
+        self.at: dict[tuple, dict[int, set[tuple]]] = {}
+        self.covering: dict[tuple, set[tuple]] = {}
+        self._stale: set[tuple] = set()  # slots changed since the last index
+        self._lo = 0  # the window start of the last index
 
     def add_event(self, rec_id: str, name: str, args: tuple, t: int) -> bool:
         if rec_id in self.by_id:
             return False
         self.events.setdefault(name, {}).setdefault(args, []).append((t, rec_id))
         self.by_id[rec_id] = ("event", name, args)
+        self._stale.add((name, args))
         self.changed_from = min(self.changed_from, t)
         return True
 
@@ -166,6 +207,7 @@ class SdeStore:
         slot = self.durative.setdefault(name, {}).setdefault(args, {}).setdefault(value, [])
         slot.append([start, end, rec_id])
         self.by_id[rec_id] = ("interval", name, args, value)
+        self._stale.add((name, args, value))
         self.changed_from = min(self.changed_from, start)
         return True
 
@@ -184,6 +226,7 @@ class SdeStore:
             self._take(slot, rec_id)
             _drop_empty(self.durative[name][args], value)
             _drop_empty(self.durative[name], args)
+        self._stale.add(entry[1:])
         return True
 
     def _take(self, slot: list, rec_id: str):
@@ -205,6 +248,8 @@ class SdeStore:
                         kept.append((t, rec_id))
                     else:
                         self.by_id.pop(rec_id, None)
+                if not kept and (name, args) not in self._stale:
+                    self.times.pop((name, args), None)
                 slot[:] = kept
                 _drop_empty(per_args, args)
         for name, per_args in self.durative.items():
@@ -220,9 +265,99 @@ class SdeStore:
                             if start <= boundary:
                                 item[0] = boundary + 1
                             kept.append(item)
+                    if not kept and (name, args, value) not in self._stale:
+                        # all of its content ended by the window start, as
+                        # have its points, which `index` drops
+                        self._forget_content(name, args, value)
                     slot[:] = kept
                     _drop_empty(per_value, value)
                 _drop_empty(per_args, args)
+
+    def _forget_content(self, name: str, args: tuple, value):
+        per_args = self.content.get(name, _NONE)
+        if value in per_args.get(args, _NONE):
+            del per_args[args][value]
+            _drop_empty(per_args, args)
+
+    def index(self, lo: int):
+        """Bring the point index up to the window starting at `lo`: refresh the
+        slots that changed, test against `lo` the argument tuples whose content
+        changed, or starts or ends since the last window start, and drop the
+        points before `lo`."""
+        moved: dict[tuple, set] = {}
+        for slot in self._stale:
+            name, args = slot[0], slot[1]
+            if len(slot) == 2:  # an event's
+                new = sorted({t for t, _id in self.events.get(name, _NONE).get(args, ())})
+                self._move((name, "happens", None), args, self.times.pop(slot, []), new, lo)
+                if new:
+                    self.times[slot] = new
+                continue
+            value = slot[2]
+            items = self.durative.get(name, _NONE).get(args, _NONE).get(value, ())
+            # one stored item is canonical already
+            if len(items) == 1:
+                new = [tuple(items[0][:2])]
+            else:
+                new = self.fluent_intervals(name, args, value)
+            old = self.content.get(name, _NONE).get(args, _NONE).get(value, [])
+            self._move((name, "start", value), args, [s for s, _e in old], [s for s, _e in new], lo)
+            self._move((name, "end", value), args, [e for _s, e in old if e is not OPEN],
+                       [e for _s, e in new if e is not OPEN], lo)
+            if new:
+                self.content.setdefault(name, {}).setdefault(args, {})[value] = new
+            else:
+                self._forget_content(name, args, value)
+            moved.setdefault((name, value), set()).add(args)
+        self._stale.clear()
+        for (name, which, value), at in self.at.items():
+            crossed = moved.setdefault((name, value), set()) if which != "happens" else set()
+            for t in range(self._lo, lo):
+                crossed.update(at.pop(t, ()))
+            crossed.update(at.get(lo, ()))
+        for (name, value), crossed in moved.items():
+            covering = self.covering.setdefault((name, value), set())
+            per_args = self.content.get(name, _NONE)
+            for args in crossed:
+                if iv.holds_at(per_args.get(args, _NONE).get(value, []), lo):
+                    covering.add(args)
+                else:
+                    covering.discard(args)
+        self._lo = lo
+
+    def _move(self, key: tuple, args: tuple, old: list[int], new: list[int], lo: int):
+        """Replace the points of `args` under `key`, keeping those from `lo` on."""
+        if old == new:
+            return
+        at = self.at.setdefault(key, {})
+        for t in old:
+            here = at.get(t)
+            if here is not None:
+                here.discard(args)
+                if not here:
+                    del at[t]
+        for t in new:
+            if t >= lo:
+                if t in at:
+                    at[t].add(args)
+                else:
+                    at[t] = {args}
+
+    def points_from(self, key: tuple, lo: int, since: int, qi: int) -> dict[tuple, list[int]]:
+        """args -> the points of `key` at the window start `lo` and in [since,
+        qi], as the window sees them: content holding at `lo` starts there, and
+        none ends there."""
+        name, which, value = key
+        at, out = self.at.get(key, _NONE), {}
+        first = self.covering.get((name, value), ()) if which == "start" else at.get(lo, ())
+        for args in first if which != "end" else ():
+            out[args] = [lo]
+        since = max(since, lo + 1)
+        span = range(since, qi + 1)
+        for t in span if len(span) < len(at) else [t for t in at if since <= t <= qi]:
+            for args in at.get(t, ()):
+                out.setdefault(args, []).append(t)
+        return out
 
     def event_times(self, name: str, args: tuple) -> list[int]:
         slot = self.events.get(name, {}).get(args)
@@ -283,22 +418,18 @@ class _QueryState:
         self.dirty = 0  # the dirty-from time of the rule being evaluated
         self.derived: dict[str, dict] = {}  # name -> args -> value -> intervals
         self.events: dict[str, dict] = {}  # name -> args -> times of a derived event
-        self.memo: dict[tuple, IntervalList] = {}  # input intervals clipped at Qi
         self.live: set[tuple] = set()  # groundings a termination plan runs over
-        self.indexes: dict[tuple, dict] = {}  # emptied after each scheduled item
+        self.indexes: dict[tuple, dict] = {}  # emptied after each solve and scheduled item
 
 
 class _PointPlan:
-    """A compiled initiatedAt, terminatedAt or happensAt rule and the
-    (head arguments, T) solutions it had at the last query, T in its window."""
+    """A compiled initiatedAt, terminatedAt or happensAt rule."""
 
     def __init__(self, solve: Callable[[], list], whole: bool):
-        self.solve = solve  # fresh solutions, T at the window start or from state.dirty
+        self.solve = solve  # (head arguments, T), T at the window start or from state.dirty
         # reuses nothing: reads a derived fluent or event, or input at a time
         # other than the head's, which a change after the solution's may move
         self.whole = whole
-        self.solutions: list = []
-        self.live: set = set()  # the groundings a termination plan last ran over
 
 
 class Engine:
@@ -322,6 +453,8 @@ class Engine:
         self.next_q = cfg.step
         self.prev_cache: dict[tuple, dict] = {}
         self._prev_derived: dict[str, dict] = {}  # prev_cache by name, as state.derived
+        self._prev_events: dict[str, dict] = {}  # the last query's state.events
+        self._starts: dict[str, dict] = {}  # name -> args -> value -> initiations in window
         self._dirty = 0  # this query's dirty-from time
         self._cache: dict[tuple, dict] = {}  # (name, args) -> value -> intervals
         self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
@@ -407,6 +540,7 @@ class Engine:
             self._apply(rec, boundary)
         self.pending.clear()
         self.store.forget(boundary)
+        self.store.index(boundary + 1)
         self._ties = {tie for tie in self._ties if tie[2] > boundary}
         # the last query's answers hold up to its own query time, and up to the
         # earliest change applied now; before the first query nothing is stored
@@ -415,8 +549,8 @@ class Engine:
 
         state = self._state
         state.qi, state.lo = qi, boundary + 1
-        self._prev_derived = state.derived
-        self._cache, state.derived, state.events, state.memo = {}, {}, {}, {}
+        self._prev_derived, self._prev_events = state.derived, state.events
+        self._cache, state.derived, state.events = {}, {}, {}
         for name, compute in self._schedule:
             compute(self, name)
             state.indexes.clear()  # later items may read what this one wrote
@@ -484,18 +618,21 @@ class Engine:
                 nxt, lambda env, args: iv.holds_at(intervals(args), env[tslot]) and nxt(env)
             )
         event = lit.event
-        name = getattr(event, "fluent", event).name
-        if isinstance(event, BoundaryEvent):
+        name, tag = getattr(event, "fluent", event).name, None
+        if self.ed.is_input(name):
+            tag = (name, "happens", None)
+            if isinstance(event, BoundaryEvent):
+                tag = (name, event.which, event.fluent.value)
+            rows = self._fresh(tag)
+            points = lambda args: rows()[args]  # noqa: E731
+        elif isinstance(event, BoundaryEvent):
             rows, intervals = self._fluent(event.fluent)
             which = f"{event.which}_points"
             points = lambda args: getattr(iv, which)(intervals(args))  # noqa: E731
-        elif self.ed.kind_of(name) == "input_event":
-            rows = lambda: state.store.events.get(name, _NONE)  # noqa: E731
-            points = lambda args: [t for t, _id in rows()[args]]  # noqa: E731
         else:
             rows = lambda: state.events.get(name, _NONE)  # noqa: E731
             points = lambda args: rows()[args]  # noqa: E731
-        join = _join(rows, terms_of(lit), slots, name, state.indexes)
+        join = _join(rows, terms_of(lit), slots, tag or name, state.indexes)
         bound = lit.time in slots  # before this literal, or by its own arguments
         tslot = slots.setdefault(lit.time, len(slots))
 
@@ -513,23 +650,31 @@ class Engine:
 
         return make
 
+    def _fresh(self, tag: tuple) -> Callable:
+        """rows() of the argument tuples with an input point at the window
+        start or from state.dirty on, each mapped to those points; read from
+        the time-keyed index once per solve."""
+        state = self._state
+
+        def rows() -> dict:
+            fresh = state.indexes.get(tag)
+            if fresh is None:
+                fresh = state.indexes[tag] = state.store.points_from(
+                    tag, state.lo, state.dirty, state.qi)
+            return fresh
+
+        return rows
+
     def _fluent(self, fv: FluentValue) -> tuple[Callable, Callable]:
         """rows() of a fluent's argument tuples at this query, each mapped to
         its value -> content dict, and args -> the intervals of fv's value.
-        Input intervals are clipped at Qi: the window never looks past it."""
+        Input content may reach past Qi, where evaluation cuts it."""
         name, value, state = fv.name, fv.value, self._state
-        if not self.ed.is_input(name):
-            rows = lambda: state.derived.get(name, _NONE)  # noqa: E731
-            return rows, lambda args: rows().get(args, _NONE).get(value, [])
-
-        def clipped(args):
-            memo = state.memo.get((name, args, value))
-            if memo is None:
-                raw = state.store.fluent_intervals(name, args, value)
-                memo = state.memo[(name, args, value)] = iv.clip_before(raw, state.qi)[0]
-            return memo
-
-        return (lambda: state.store.durative.get(name, _NONE)), clipped
+        if self.ed.is_input(name):
+            content = state.store.content.setdefault(name, {})  # kept for good by the store
+            return (lambda: content), lambda args: content.get(args, _NONE).get(value, [])
+        rows = lambda: state.derived.get(name, _NONE)  # noqa: E731
+        return rows, lambda args: rows().get(args, _NONE).get(value, [])
 
     def _compile_sd(self, rule: Rule) -> tuple:
         """Compile a holdsFor rule into (sources, fits, evaluate, derived):
@@ -564,9 +709,10 @@ class Engine:
             for lit, key, intervals, needed in body:
                 if intervals is not None:
                     _, ilist = iv.clip_before(intervals(key(args)), since - 1)
+                    ilist = _materialize(ilist, state.qi)
                     if needed and not ilist:
                         return None
-                    env[lit.interval] = _materialize(ilist, state.qi)
+                    env[lit.interval] = ilist
                 elif key is not None:
                     if not _compare(lit.op, *key(args)):
                         return None
@@ -595,52 +741,121 @@ class Engine:
         slot = self._cache.setdefault((name, args), {})
         return self._state.derived.setdefault(name, {}).setdefault(args, slot)
 
-    def _solutions(self, plan: _PointPlan, live: Optional[set] = None) -> list:
-        """The plan's solutions in the window.  Those after the window start and
-        before the dirty-from time are the last query's; the plan runs for the
-        others.  A termination plan runs over the `live` groundings, and over
-        the whole window for those it did not run over at the last query."""
-        state = self._state
-        lo, dirty = state.lo, state.lo if plan.whole else self._dirty
-        out = [sol for sol in plan.solutions if lo < sol[1] < dirty]
-        runs = [(live, dirty)]
-        if live is not None:
-            out = [sol for sol in out if sol[0] in live]
-            runs = [(live & plan.live, dirty), (live - plan.live, lo)]
-            plan.live = live
-        for state.live, state.dirty in runs:
-            out += plan.solve()
-            if live is not None:
-                state.indexes.clear()  # an index over the live set holds for one run
-        plan.solutions = out
+    def _solve(self, plans: list, dirty: int, live: Optional[set] = None) -> dict:
+        """args -> value -> times of the plans' solutions at the window start
+        and from `dirty` on; a termination plan runs over the `live` groundings."""
+        state, out = self._state, {}
+        state.dirty, state.live = dirty, live
+        for value, plan in plans:
+            for args, t in plan.solve():
+                out.setdefault(args, {}).setdefault(value, set()).add(t)
+        state.indexes.clear()  # an index over the live set, or the points from dirty, is this run's
         return out
 
     def _compute_simple_fluent(self, name: str):
-        starts: dict[tuple, dict] = {}
-        for value, plan in self._plans[INITIATED].get(name, []):
-            for args, t in self._solutions(plan):
-                starts.setdefault(args, {}).setdefault(value, set()).add(t)
-        lo = self._state.lo
-        kept: dict[tuple, dict] = {}  # args -> value -> start of a crossing interval
-        for args, per_value in self._prev_derived.get(name, {}).items():
-            for value, ilist in per_value.items():
-                for s, e in ilist:
-                    # the initiating point s-1 is gone once it falls at or
-                    # before the boundary; the start stands for it
-                    if s <= lo and (e is OPEN or e >= lo):
-                        kept.setdefault(args, {})[value] = s
-        live = starts.keys() | kept.keys()
-        terms: dict[tuple, dict] = {}
-        for value, plan in self._plans[TERMINATED].get(name, []):
-            for args, t in self._solutions(plan, live):
-                terms.setdefault(args, {}).setdefault(value, set()).add(t)
+        """A grounding's intervals and initiations before the dirty-from time d
+        carry over, and its chain is rebuilt from d on: from whether it holds or
+        is initiated at d-1, and its initiations and terminations from d.  A
+        grounding for which the window start changes whether it holds there, or
+        whether it holds or is initiated there, is rebuilt from the window start
+        instead, with the start of an interval crossing it kept.  A rule that
+        reuses nothing makes every grounding rebuild from the window start."""
+        state = self._state
+        lo, qi = state.lo, state.qi
+        inits, terms = self._plans[INITIATED].get(name, []), self._plans[TERMINATED].get(name, [])
+        dirty = lo if any(plan.whole for _v, plan in inits + terms) else self._dirty
+        fresh = self._solve(inits, dirty)
+        self._break_ties(name, fresh)
+        last, last_starts = self._prev_derived.get(name, _NONE), self._starts.get(name, _NONE)
+        starts, chains, live = {}, [], set()
+        for args in last.keys() | last_starts.keys() | fresh.keys():
+            old, ivs, st = last_starts.get(args, _NONE), last.get(args, _NONE), {}
+            if args not in fresh and all(
+                    lo < ts[0] and ts[-1] < dirty - 1 for ts in old.values()) and all(
+                    lo < il[0][0] and il[-1][1] is not OPEN and il[-1][1] < dirty
+                    for il in ivs.values()):
+                # it neither crosses the window start nor reaches d-1: nothing can change
+                if old:
+                    starts[args] = old
+                if ivs:
+                    self._cache[(name, args)] = state.derived.setdefault(name, {})[args] = ivs
+                continue
+            for value, ts in old.items():
+                if not (lo < ts[0] and ts[-1] < dirty):
+                    ts = [t for t in ts if lo < t < dirty]
+                st[value] = ts
+            for value, ts in fresh.get(args, _NONE).items():
+                st[value] = sorted(ts.union(st.get(value, ())))
+            st = {value: ts for value, ts in st.items() if ts}
+            chain = {}
+            for value in st.keys() | ivs.keys():
+                ilist, ts = ivs.get(value, []), st.get(value, [])
+                part = _carried(ilist, lo, dirty)
+                held = bool(part) and part[0][0] <= lo < part[0][1] if dirty > lo else iv.holds_at(
+                    ilist, lo)
+                kept = held or bool(part) and part[0][0] < lo
+                pending = bool(part) and part[-1][1] == dirty or (
+                    dirty - 1 in ts if dirty > lo else held)
+                if kept or pending or ts and ts[-1] >= dirty:
+                    live.add(args)
+                chain[value] = (ilist, ts, part, pending, held, kept, lo in old.get(value, ()))
+            if st:
+                starts[args] = st
+            chains.append((args, st, chain))
+        self._starts[name] = starts
+        ended, rebuilt = self._solve(terms, dirty, live), []
+        for args, st, chain in chains:
+            ends = ended.get(args, _NONE)
+            for value, (_il, ts, _part, _pe, held, kept, was_initiated) in chain.items():
+                broken = lo in ends.get(value, ()) or any(
+                    other != value and ots[0] == lo for other, ots in st.items())
+                holds = kept and not broken
+                initiated = ts[:1] == [lo]
+                if dirty > lo and (holds != held or (holds or initiated) != (held or was_initiated)):
+                    rebuilt.append((args, st, chain))
+                    break
+            else:
+                self._settle(name, args, st, chain, dirty, ended)
+        if rebuilt:
+            ended.update(self._solve(terms, lo, {args for args, _st, _chain in rebuilt}))
+            for args, st, chain in rebuilt:
+                self._settle(name, args, st, chain, lo, ended)
 
-        order = self._value_order.get(name, [])
-        for args in live:
-            per_value = starts.get(args, {})
-            # simultaneous initiations of two values: first-declared value wins
+    def _settle(self, name: str, args: tuple, st: dict, chain: dict, since: int, ended: dict):
+        """Set a grounding's intervals: the carried ones before `since`, then
+        its chain from there; from the window start, with the start of an
+        interval crossing it kept."""
+        state, result, ends = self._state, {}, ended.get(args, _NONE)
+        for value, (ilist, ts, part, pending, _held, kept, _was) in chain.items():
+            if since == state.lo:
+                part, pending = _carried(ilist, since, since), kept
+            later, breaks = ts[bisect_left(ts, since):], []
+            if later or pending:
+                breaks = [t for t in ends.get(value, ()) if t >= since]
+                for other, ots in st.items():
+                    if other != value:
+                        breaks += ots[bisect_left(ots, since):]
+            if later or (pending and breaks):
+                starts = [since - 1] * pending + later
+                tail = iv.make_intervals(starts, sorted(set(breaks)), now=state.qi)
+                ilist = iv.amalgamate(part, tail)
+            elif pending:
+                ilist = _reopen(part, since - 1) if part and part[-1][1] == since else (
+                    part + [(since, OPEN)])
+            else:
+                ilist = part
+            if ilist:
+                result[value] = ilist
+        if result:
+            self._slot(name, args).update(result)
+
+    def _break_ties(self, name: str, fresh: dict):
+        """Simultaneous initiations of two values: the first-declared value
+        wins.  A tie is reported once while its time is in the window."""
+        order, ties = self._value_order.get(name, []), []
+        for args, per_value in fresh.items():
             by_time: dict[int, list] = {}
-            for value, ts in per_value.items():
+            for value, ts in per_value.items() if len(per_value) > 1 else ():
                 for t in ts:
                     by_time.setdefault(t, []).append(value)
             for t, values in by_time.items():
@@ -650,26 +865,10 @@ class Engine:
                         per_value[loser].discard(t)
                     if (name, args, t) not in self._ties:
                         self._ties.add((name, args, t))
-                        self.diagnostics.extend(
-                            f"simultaneous initiation of {name}{args} values "
-                            f"{values[0]!r} and {loser!r} at {t}; kept {values[0]!r}"
-                            for loser in values[1:]
-                        )
-            kept_here = kept.get(args, {})
-            result: dict = {}
-            for value in list(per_value) + [v for v in kept_here if v not in per_value]:
-                st = set(per_value.get(value, ()))
-                if value in kept_here:
-                    st.add(kept_here[value] - 1)
-                br = set(terms.get(args, {}).get(value, ()))
-                for other, ts in per_value.items():
-                    if other != value:
-                        br.update(ts)
-                ilist = iv.make_intervals(sorted(st), sorted(br), now=self._state.qi)
-                if ilist:
-                    result[value] = ilist
-            if result:
-                self._slot(name, args).update(result)
+                        ties.extend((repr(args), t, f"simultaneous initiation of {name}{args} values "
+                                     f"{values[0]!r} and {loser!r} at {t}; kept {values[0]!r}")
+                                    for loser in values[1:])
+        self.diagnostics.extend(message for _args, _t, message in sorted(ties))
 
     def _compute_sd_fluent(self, name: str):
         state, plans = self._state, self._plans[HOLDS_FOR].get(name, [])
@@ -688,7 +887,7 @@ class Engine:
         carried: dict[tuple, dict] = {}
         for args, per_value in self._prev_derived.get(name, {}).items():
             for value, ilist in per_value.items():
-                part = [(s, e) for s, e in iv.clip_before(ilist, dirty - 1)[0] if e >= state.lo]
+                part = _carried(ilist, state.lo, dirty)
                 if part:
                     carried.setdefault(args, {})[value] = part
         for args in per_args.keys() | carried.keys():
@@ -718,11 +917,14 @@ class Engine:
         return out
 
     def _compute_events(self, name: str):
-        occurrences: dict[tuple, set[int]] = {}
-        for _value, plan in self._plans[HAPPENS].get(name, []):
-            for args, t in self._solutions(plan):
-                occurrences.setdefault(args, set()).add(t)
-        self._state.events[name] = {args: sorted(ts) for args, ts in occurrences.items()}
+        """The last query's occurrences before the dirty-from time carry over."""
+        state, plans = self._state, self._plans[HAPPENS].get(name, [])
+        dirty = state.lo if any(plan.whole for _v, plan in plans) else self._dirty
+        occurrences = {args: {t for t in ts if state.lo < t < dirty}
+                       for args, ts in self._prev_events.get(name, _NONE).items()}
+        for args, per_value in self._solve(plans, dirty).items():
+            occurrences.setdefault(args, set()).update(per_value[None])
+        state.events[name] = {args: sorted(ts) for args, ts in occurrences.items() if ts}
 
     # -- reporting -----------------------------------------------------------
 

@@ -82,6 +82,24 @@ def _require(obj: dict, key: str, line: int):
     return obj[key]
 
 
+# Fields are checked by exact type: json.loads gives a JSON true or false as a
+# bool, which isinstance would take for the integer 1 or 0.
+
+
+def _args(obj: dict, line: int) -> tuple:
+    args = _require(obj, "args", line)
+    if type(args) is not list or not all(type(a) is str or type(a) is int for a in args):
+        raise StreamFormatError("'args' must be a list of strings or integers", line)
+    return tuple(args)
+
+
+def _number(obj: dict, key: str, line: int) -> float:
+    value = _require(obj, key, line)
+    if type(value) is not float and type(value) is not int:
+        raise StreamFormatError(f"{key!r} must be a number", line)
+    return float(value)
+
+
 def parse_record(obj: dict, line: int = 0) -> InputRecord:
     if not isinstance(obj, dict):
         raise StreamFormatError("record must be a JSON object", line)
@@ -90,45 +108,48 @@ def parse_record(obj: dict, line: int = 0) -> InputRecord:
     if action not in ("assert", "retract", "update"):
         raise StreamFormatError(f"unknown action {action!r}", line)
     arrival = obj.get("arrival")
-    if arrival is not None and (not isinstance(arrival, int) or arrival < 0):
+    if arrival is not None and (type(arrival) is not int or arrival < 0):
         raise StreamFormatError("arrival must be a non-negative integer", line)
     if action == "retract":
         return InputRecord(id=rec_id, action=action, kind=obj.get("kind", "event"), arrival=arrival)
     kind = _require(obj, "kind", line)
     if kind == "event":
         t = _require(obj, "t", line)
-        if not isinstance(t, int) or t < 0:
+        if type(t) is not int or t < 0:
             raise StreamFormatError("t must be a non-negative integer", line)
         return InputRecord(
             id=rec_id,
             action=action,
             kind=kind,
             name=str(_require(obj, "name", line)),
-            args=tuple(_require(obj, "args", line)),
+            args=_args(obj, line),
             t=t,
             arrival=arrival,
         )
     if kind == "interval":
         start = _require(obj, "from", line)
         end = obj.get("to")
-        if not isinstance(start, int) or start < 0:
+        if type(start) is not int or start < 0:
             raise StreamFormatError("'from' must be a non-negative integer", line)
-        if end is not None and (not isinstance(end, int) or end <= start):
+        if end is not None and (type(end) is not int or end <= start):
             raise StreamFormatError("'to' must be null or an integer after 'from'", line)
+        value = _require(obj, "value", line)
+        if isinstance(value, (list, dict)):
+            raise StreamFormatError("'value' must be a string, number or boolean", line)
         return InputRecord(
             id=rec_id,
             action=action,
             kind=kind,
             name=str(_require(obj, "name", line)),
-            args=tuple(_require(obj, "args", line)),
-            value=_require(obj, "value", line),
+            args=_args(obj, line),
+            value=value,
             start=start,
             end=end,
             arrival=arrival,
         )
     if kind == "coord":
         t = _require(obj, "t", line)
-        if not isinstance(t, int) or t < 0:
+        if type(t) is not int or t < 0:
             raise StreamFormatError("t must be a non-negative integer", line)
         return InputRecord(
             id=rec_id,
@@ -136,8 +157,8 @@ def parse_record(obj: dict, line: int = 0) -> InputRecord:
             kind=kind,
             entity=str(_require(obj, "entity", line)),
             t=t,
-            x=float(_require(obj, "x", line)),
-            y=float(_require(obj, "y", line)),
+            x=_number(obj, "x", line),
+            y=_number(obj, "y", line),
             arrival=arrival,
         )
     raise StreamFormatError(f"unknown record kind {kind!r}", line)

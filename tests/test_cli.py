@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from evrec import cli, generator, streams
+from evrec import bench, cli, generator, language, streams
+from evrec.engine import ConfigError, EngineConfig
 
 import packs
 
@@ -142,10 +143,53 @@ def test_missing_input_file_is_reported(tmp_path, capsys):
     assert code == 2
 
 
-def test_bad_wm_list_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["bench", "--rules", RULES, "--input", "x", "--wm", "ten",
-                  "--step", "5", "--report", "r.csv"])
+def test_bad_wm_list_rejected(tmp_path, capsys):
+    for wm in ("ten", ","):
+        code = cli.main(["bench", "--rules", RULES, "--input", "x", "--wm", wm,
+                         "--step", "5", "--report", "r.csv"])
+        assert code == 2
+        assert "error: bad window list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shards", ["0", "-2"])
+def test_bench_rejects_fewer_than_one_shard(tmp_path, capsys, shards):
+    stream = tmp_path / "s.jsonl"
+    cli.main(["gen", "--entities", "2", "--duration", "40", "--out", str(stream)])
+    code = cli.main(["bench", "--rules", RULES, "--input", str(stream), "--wm", "40",
+                     "--step", "40", "--shards", shards, "--report", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: shards must be at least 1" in err and "Traceback" not in err
+
+
+def test_bench_functions_reject_fewer_than_one_shard():
+    ed, _ = language.load(res.files("evrec").joinpath("rules", "surveillance.rtec").read_text())
+    with pytest.raises(ConfigError):
+        bench.run_sharded(ed, EngineConfig(wm=10, step=10), [], 0)
+    with pytest.raises(ConfigError):
+        bench.benchmark(ed, [], [10], 10, shards=-1)
+
+
+# one malformed record per kind of field check in streams.parse_record
+BAD_RECORDS = {
+    "args": '{"id": "e1", "kind": "event", "name": "appear", "args": [["p1"]], "t": 5}',
+    "value": '{"id": "f1", "kind": "interval", "name": "walking", "args": ["p1"], '
+             '"value": ["true"], "from": 1, "to": 9}',
+    "boolean time": '{"id": "e1", "kind": "event", "name": "appear", "args": ["p1"], "t": true}',
+    "coordinate": '{"id": "c1", "kind": "coord", "entity": "p1", "t": 1, "x": "10", "y": 4}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
+def test_run_reports_a_malformed_record_without_a_traceback(tmp_path, capsys, kind):
+    stream = tmp_path / "s.jsonl"
+    stream.write_text('{"id": "ok", "kind": "event", "name": "appear", "args": ["p2"], "t": 2}\n'
+                      + BAD_RECORDS[kind] + "\n")
+    code = cli.main(["run", "--rules", RULES, "--input", str(stream), "--wm", "10",
+                     "--step", "10", "--out", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "(line 2)" in err and "Traceback" not in err
 
 
 def test_bench_rejects_a_tick_that_is_not_positive(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evrec import intervals as iv
 from evrec import language as lang
 from evrec.engine import (
     ConfigError,
@@ -500,8 +501,8 @@ def test_update_moves_an_end_back_into_the_reused_range():
 
 
 def test_state_stays_inside_the_window_on_a_long_stream():
-    # every solution, interval and stored item lies after the window start,
-    # but for intervals that cross it
+    # every carried initiation, indexed point, interval and stored item lies
+    # after the window start, but for intervals that cross it
     ed = surveillance("p1", "p2")
     recs, wm = [], 40
     for k, t in enumerate(range(0, 3000, 30)):
@@ -522,10 +523,10 @@ def test_state_stays_inside_the_window_on_a_long_stream():
         engine.query(qi)
         b = qi - wm
         assert engine.store.min_content() is None or engine.store.min_content() > b
-        for per_name in engine._plans.values():
-            for plans in per_name.values():
-                for _value, plan in plans:
-                    assert all(t > b for _args, t in getattr(plan, "solutions", ()))
+        assert all(t > b for at in engine.store.at.values() for t in at)
+        for per_args in engine._starts.values():
+            assert all(t > b for per_value in per_args.values()
+                       for ts in per_value.values() for t in ts)
         for per_value in engine.prev_cache.values():
             assert all(e is OPEN or e > b for ilist in per_value.values() for _s, e in ilist)
 
@@ -600,10 +601,11 @@ def test_body_literal_order_does_not_change_entries(window):
     assert [r.entries for r in got] == [r.entries for r in want]
 
 
-def replay_against_the_oracle(engine, recs, last_q, shard=None) -> list:
+def replay_against_the_oracle(engine, recs, last_q, shard=None, check_index=False) -> list:
     """Query the engine every step up to last_q, each record ingested at its
     arrival (its occurrence when it has none), and check every answer against
-    the pointwise evaluation of the store from scratch.  Returns the results."""
+    the pointwise evaluation of the store from scratch, and with check_index
+    the point index against the store.  Returns the results."""
     step, wm = engine.cfg.step, engine.cfg.wm
     recs = sorted(recs, key=record_arrival)
     results, idx = [], 0
@@ -613,6 +615,8 @@ def replay_against_the_oracle(engine, recs, last_q, shard=None) -> list:
             idx += 1
         seeds = reference.boundary_seeds(engine, qi - wm)
         res = engine.query(qi)
+        if check_index:
+            assert_index_matches_store(engine.store, qi - wm + 1, step, qi)
         events, durative = engine.store.snapshot()
         ev_d, fl_d = {}, {}
         for name, args, t in events:
@@ -763,6 +767,115 @@ def test_reused_answers_equal_the_from_scratch_ones(seed, step, steps_per_window
         scratch.store.changed_from = -math.inf
         assert reusing.query(qi).entries == scratch.query(qi).entries, f"query {qi}"
         assert reusing.diagnostics == scratch.diagnostics
+
+
+def window_points(store, lo, since, qi) -> set:
+    """(key, args, t) of every input point at the window start or in [since,
+    qi], by definition: the start and end points of each slot's canonical
+    content clipped at Qi, and each event's times."""
+    def keep(t):
+        return t == lo or since <= t <= qi
+
+    out = set()
+    for name, per_args in store.events.items():
+        for args, slot in per_args.items():
+            out |= {((name, "happens", None), args, t) for t, _id in slot if keep(t)}
+    for name, per_args in store.durative.items():
+        for args, per_value in per_args.items():
+            for value, slot in per_value.items():
+                clipped = iv.clip_before(iv.normalize([(s, e) for s, e, _id in slot]), qi)[0]
+                out |= {((name, "start", value), args, s)
+                        for s in iv.start_points(clipped) if keep(s)}
+                out |= {((name, "end", value), args, e) for e in iv.end_points(clipped)
+                        if keep(e) and e <= qi}
+    return out
+
+
+def assert_index_matches_store(store, lo, step, qi):
+    """The point index yields the points window_points gives, from the window
+    start and from the time just after the last query, and holds each slot's
+    content as the window sees it."""
+    for since in (lo, qi - step + 1):
+        got = {(key, args, t) for key in store.at
+               for args, ts in store.points_from(key, lo, since, qi).items() for t in ts}
+        assert got == window_points(store, lo, since, qi), f"points from {since}"
+    content = {}
+    for name, per_args in store.content.items():
+        for args, per_value in per_args.items():
+            for value, ilist in per_value.items():
+                cut = [(max(s, lo), e) for s, e in ilist if e is OPEN or e > lo]
+                if cut:
+                    content[(name, args, value)] = iv.clip_before(cut, qi)[0]
+    _events, durative = store.snapshot()
+    assert content == {slot: iv.clip_before(ilist, qi)[0] for slot, ilist in durative.items()}
+
+
+def overlapping(recs, rng):
+    """recs and, for a share of its interval asserts, a second record in the
+    same slot overlapping the first, asserted and revised alongside it."""
+    out = []
+    for rec in recs:
+        out.append(rec)
+        if rec.kind == "interval" and rng.random() < 0.3:
+            s = max(0, rec.start + rng.randint(-6, 6))
+            out.append(replace(rec, id=rec.id + "+", start=s, end=s + rng.randrange(1, 25)))
+    return sorted(out, key=record_arrival)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 8), st.booleans())
+def test_point_index_equals_the_points_of_each_slot(seed, step, steps_per_window, delayed):
+    rng = random.Random(seed)
+    wm = step * steps_per_window + rng.randrange(step)
+    recs = overlapping(mixed_stream(rng, max_delay=wm - step if delayed else 0,
+                                    revise_share=0.25 if delayed else 0), rng)
+    ed, _ = lang.load(MIXED_PACK)
+    engine = Engine(ed, EngineConfig(wm=wm, step=step))
+    last_q = step * math.ceil((max(r.arrival for r in recs) + HORIZON + wm) / step)
+    idx = 0
+    for qi in range(step, last_q + 1, step):
+        while idx < len(recs) and recs[idx].arrival <= qi:
+            engine.ingest([recs[idx]])
+            idx += 1
+        engine.query(qi)
+        assert_index_matches_store(engine.store, qi - wm + 1, step, qi)
+        assert all(t >= qi - wm + 1 for at in engine.store.at.values() for t in at)
+
+
+def test_abutting_then_overlapping_records_have_no_point_between_them():
+    # [10,20) and [20,30) are one interval of walking, and stay one after an
+    # update makes the first overlap the second
+    ed = surveillance("p1", "p2")
+    recs = [
+        fl(1, "walking", ("p1",), 10, 20),
+        fl(2, "walking", ("p1",), 20, 30),
+        fl(3, "walking", ("p2",), 5, 40),
+        fl(4, "close", ("p1", "p2"), 0, 40),
+        InputRecord(id="f1", action="update", kind="interval", name="walking", args=("p1",),
+                    value="true", start=10, end=25, arrival=28),
+    ]
+    engine = Engine(ed, EngineConfig(wm=20, step=5))
+    results = replay_against_the_oracle(engine, recs, 60, check_index=True)
+    for key in (("walking", "start", "true"), ("walking", "end", "true")):
+        assert 20 not in engine.store.at.get(key, {})
+    moving = {(q, s, e) for q, _n, args, s, e, _st in entries_of(results, "moving")}
+    assert (30, 11, 30) in moving
+
+
+def test_content_announced_before_it_starts_stays_past_qi_until_reached():
+    # the store holds the second walking interval of p1 and the closeness from
+    # their arrival at 5, but no query may see a point or interval after Qi
+    ed = surveillance("p1", "p2")
+    recs = [
+        fl(1, "walking", ("p1",), 0, 12),
+        fl(2, "walking", ("p1",), 30, 55, arrival=5),
+        fl(3, "walking", ("p2",), 0, 100),
+        fl(4, "close", ("p1", "p2"), 8, 60, arrival=5),
+    ]
+    engine = Engine(ed, EngineConfig(wm=30, step=10))
+    results = replay_against_the_oracle(engine, recs, 70, check_index=True)
+    moving_sd = {(q, s, e) for q, _n, args, s, e, _st in entries_of(results, "moving_sd")
+                 if args == ("p1", "p2")}
+    assert {(10, 8, None), (20, 8, 12), (30, 30, None)} <= moving_sd
 
 
 TEST_PACKS = {"surveillance": PACK, "mixed": MIXED_PACK, **packs.BY_NAME}

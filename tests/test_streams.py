@@ -204,3 +204,43 @@ def test_stream_entities_and_auto_domains():
     ed = lang.parse("domain ent = auto\ninput event appear/1\n")
     ed2 = streams.fill_auto_domains(ed, recs)
     assert ed2.domains["ent"] == ("p1", "p2")
+
+
+EVENT = {"id": "x", "kind": "event", "name": "e", "args": ["p1"], "t": 5}
+INTERVAL = {"id": "x", "kind": "interval", "name": "f", "args": ["p1"], "value": "true",
+            "from": 3, "to": 9}
+COORD = {"id": "x", "kind": "coord", "entity": "p1", "t": 5, "x": 1.5, "y": 2}
+
+# a record each, with the field that makes it malformed
+MALFORMED = {
+    "args not a list": {**EVENT, "args": 5},
+    "args of a list": {**EVENT, "args": [["p"]]},
+    "args a string": {**INTERVAL, "args": "pq"},
+    "args of a boolean": {**EVENT, "args": [True]},
+    "value a list": {**INTERVAL, "value": [1]},
+    "value an object": {**INTERVAL, "value": {"on": 1}},
+    "t a boolean": {**EVENT, "t": True},
+    "from a boolean": {**INTERVAL, "from": False},
+    "to a boolean": {**INTERVAL, "to": True},
+    "arrival a boolean": {**EVENT, "arrival": True},
+    "retract arrival a boolean": {"id": "x", "action": "retract", "arrival": True},
+    "x a string": {**COORD, "x": "left"},
+    "y a list": {**COORD, "y": [2]},
+    "x a boolean": {**COORD, "x": True},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_parse_rejects_a_malformed_field_with_its_line(case):
+    with pytest.raises(StreamFormatError) as err:
+        streams.parse_record(MALFORMED[case], line=7)
+    assert err.value.line == 7
+    assert "(line 7)" in str(err.value)
+
+
+def test_parse_keeps_integer_args_and_numeric_coordinates():
+    rec = streams.parse_record({**EVENT, "args": ["p1", 3]})
+    assert rec.args == ("p1", 3)
+    rec = streams.parse_record(COORD)
+    assert (rec.x, rec.y) == (1.5, 2.0)
+    assert streams.parse_record({**INTERVAL, "value": 4}).value == 4
