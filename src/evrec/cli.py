@@ -11,8 +11,8 @@ from .engine import ConfigError, EngineConfig, EvaluationError, run_stream
 
 
 def _load_rules(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = language.decode(fh.read())
     ed, diagnostics = language.load(text)
     errors = [d for d in diagnostics if d.severity == "error"]
     for d in diagnostics:
@@ -24,6 +24,8 @@ def _load_rules(path: str):
 
 
 def _prepare(rules_path: str, input_path: str, close_threshold: float):
+    if not close_threshold >= 0:  # nan compares false
+        raise ConfigError(f"--close-threshold must be a non-negative number, not {close_threshold}")
     ed = _load_rules(rules_path)
     doc = streams.read_stream(input_path)
     for msg in doc.diagnostics:
@@ -51,12 +53,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = generator.GenSpec(
-        entities=args.entities,
-        duration=args.duration,
-        seed=args.seed,
-        scale_copies=args.copies,
-    )
+    try:
+        spec = generator.GenSpec(
+            entities=args.entities,
+            duration=args.duration,
+            seed=args.seed,
+            scale_copies=args.copies,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     records = generator.generate(spec)
     streams.write_stream(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -138,7 +143,7 @@ def main(argv=None) -> int:
         language.RuleSyntaxError,
         language.StratificationError,
         streams.StreamFormatError,
-        FileNotFoundError,
+        OSError,  # a missing file, or a directory where a file is named
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,13 @@ there.  A rule that reads a derived fluent or event, or input at a time other
 than its head's, reuses nothing and makes its fluent evaluate from the window
 start.
 
+Upkeep follows the change too.  The store forgets by popping, from a heap
+ordered by start, only the items the window start passes, and re-cuts the
+few intervals that cross it; it keeps the join indexes over input content,
+changing them only where an argument tuple enters or leaves the content.
+Classification keeps a grounding's entries while its intervals equal the
+last query's and the next boundary has not reached one of their endpoints.
+
 `Engine.__init__` refuses a rule pack for which `language.validate` reports
 an error, and compiles each rule of any other once into a plan: an ordered
 chain of join steps over variable slots, in the order `language.join_order`
@@ -39,9 +46,12 @@ instances over disjoint groundings, each fed the complete stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -170,7 +180,17 @@ class SdeStore:
     def __init__(self):
         self.events: dict[str, dict[tuple, list[tuple[int, str]]]] = {}
         self.durative: dict[str, dict[tuple, dict[object, list[list]]]] = {}
+        # record id -> (slot, item): an event's slot is (name, args) and its
+        # item (t, id); an interval's slot is (name, args, value) and its item
+        # [start, end, id]
         self.by_id: dict[str, tuple] = {}
+        # every item stored, pushed once by its start: (start, seq, slot, item);
+        # `forget` pops those that start by the window start, skipping the
+        # items the store no longer holds, and keeps the intervals it cuts
+        # there, by id, in `crossing`
+        self.starts: list[tuple] = []
+        self.crossing: set[str] = set()
+        self._seq = itertools.count()
         # the earliest time that content added or removed since the owner last
         # reset it covers; forgetting does not count
         self.changed_from = math.inf
@@ -182,21 +202,24 @@ class SdeStore:
         # and (name, "happens", None) of an event to the argument tuples with
         # a point at each time from the window start on; `covering` maps
         # (name, value) to those whose content holds at the window start,
-        # where the window sees it start.
+        # where the window sees it start.  `joins` maps a fluent name and a
+        # shape (arity, positions) to its argument tuples in `content` of that
+        # arity by their values at those positions, built by `join_index` and
+        # kept up to date as tuples enter and leave `content`.
         self.content: dict[str, dict[tuple, dict[object, IntervalList]]] = {}
         self.times: dict[tuple, list[int]] = {}
         self.at: dict[tuple, dict[int, set[tuple]]] = {}
         self.covering: dict[tuple, set[tuple]] = {}
+        self.joins: dict[str, dict[tuple, dict[tuple, list]]] = {}
         self._stale: set[tuple] = set()  # slots changed since the last index
         self._lo = 0  # the window start of the last index
 
     def add_event(self, rec_id: str, name: str, args: tuple, t: int) -> bool:
         if rec_id in self.by_id:
             return False
-        self.events.setdefault(name, {}).setdefault(args, []).append((t, rec_id))
-        self.by_id[rec_id] = ("event", name, args)
-        self._stale.add((name, args))
-        self.changed_from = min(self.changed_from, t)
+        item = (t, rec_id)
+        self.events.setdefault(name, {}).setdefault(args, []).append(item)
+        self._added(rec_id, (name, args), item)
         return True
 
     def add_interval(
@@ -204,80 +227,108 @@ class SdeStore:
     ) -> bool:
         if rec_id in self.by_id:
             return False
-        slot = self.durative.setdefault(name, {}).setdefault(args, {}).setdefault(value, [])
-        slot.append([start, end, rec_id])
-        self.by_id[rec_id] = ("interval", name, args, value)
-        self._stale.add((name, args, value))
-        self.changed_from = min(self.changed_from, start)
+        item = [start, end, rec_id]
+        self.durative.setdefault(name, {}).setdefault(args, {}).setdefault(value, []).append(item)
+        self._added(rec_id, (name, args, value), item)
         return True
+
+    def _added(self, rec_id: str, slot: tuple, item):
+        self.by_id[rec_id] = (slot, item)
+        heappush(self.starts, (item[0], next(self._seq), slot, item))
+        self._stale.add(slot)
+        self.changed_from = min(self.changed_from, item[0])
 
     def remove(self, rec_id: str) -> bool:
-        entry = self.by_id.pop(rec_id, None)
+        entry = self.by_id.get(rec_id)
         if entry is None:
             return False
-        if entry[0] == "event":
-            _, name, args = entry
-            slot = self.events[name][args]
-            self._take(slot, rec_id)
-            _drop_empty(self.events[name], args)
-        else:
-            _, name, args, value = entry
-            slot = self.durative[name][args][value]
-            self._take(slot, rec_id)
-            _drop_empty(self.durative[name][args], value)
-            _drop_empty(self.durative[name], args)
-        self._stale.add(entry[1:])
+        slot, item = entry
+        self._take(slot, item)
+        self._stale.add(slot)
+        self.changed_from = min(self.changed_from, item[0])
         return True
 
-    def _take(self, slot: list, rec_id: str):
-        """Remove a record's item, (t, id) or [start, end, id], from its slot."""
-        for i, item in enumerate(slot):
-            if item[-1] == rec_id:
-                del slot[i]
-                self.changed_from = min(self.changed_from, item[0])
-                return
+    def _take(self, slot: tuple, item) -> bool:
+        """Delete a stored item, and the keys it leaves without content;
+        whether its slot is left empty."""
+        del self.by_id[item[-1]]
+        self.crossing.discard(item[-1])
+        name, args = slot[0], slot[1]
+        if len(slot) == 2:
+            per_args = self.events[name]
+            items = per_args[args]
+            items.remove(item)
+            if items:
+                return False
+            del per_args[args]
+        else:
+            per_args = self.durative[name]
+            per_value = per_args[args]
+            items = per_value[slot[2]]
+            items.remove(item)
+            if items:
+                return False
+            del per_value[slot[2]]
+            _drop_empty(per_args, args)
+        return True
 
     def forget(self, boundary: int):
         """Drop all content at or before `boundary`; straddling intervals keep
-        only the part strictly after it."""
-        for name, per_args in self.events.items():
-            for args, slot in list(per_args.items()):
-                kept = []
-                for t, rec_id in slot:
-                    if t > boundary:
-                        kept.append((t, rec_id))
-                    else:
-                        self.by_id.pop(rec_id, None)
-                if not kept and (name, args) not in self._stale:
-                    self.times.pop((name, args), None)
-                slot[:] = kept
-                _drop_empty(per_args, args)
-        for name, per_args in self.durative.items():
-            for args, per_value in list(per_args.items()):
-                for value, slot in list(per_value.items()):
-                    kept = []
-                    for item in slot:
-                        start, end, rec_id = item
-                        e = math.inf if end is OPEN else end
-                        if e <= boundary + 1:
-                            self.by_id.pop(rec_id, None)
-                        else:
-                            if start <= boundary:
-                                item[0] = boundary + 1
-                            kept.append(item)
-                    if not kept and (name, args, value) not in self._stale:
-                        # all of its content ended by the window start, as
-                        # have its points, which `index` drops
-                        self._forget_content(name, args, value)
-                    slot[:] = kept
-                    _drop_empty(per_value, value)
-                _drop_empty(per_args, args)
+        only the part strictly after it.  Only the items that start by
+        `boundary` and the intervals cut at the last window start are read."""
+        starts, by_id, crossing = self.starts, self.by_id, self.crossing
+        while starts and starts[0][0] <= boundary:
+            _start, _seq, slot, item = heappop(starts)
+            if by_id.get(item[-1], _GONE)[1] is not item:
+                continue  # retracted or updated since it was pushed
+            if len(slot) == 2:
+                self._expire(slot, item)
+            else:
+                crossing.add(item[-1])
+        for rec_id in list(crossing):
+            slot, item = by_id[rec_id]
+            if item[1] is not OPEN and item[1] <= boundary + 1:
+                self._expire(slot, item)
+            else:
+                item[0] = boundary + 1
+
+    def _expire(self, slot: tuple, item):
+        if self._take(slot, item) and slot not in self._stale:
+            # all of the slot's content ended by the window start, as have its
+            # points, which `index` drops
+            if len(slot) == 2:
+                self.times.pop(slot, None)
+            else:
+                self._forget_content(*slot)
 
     def _forget_content(self, name: str, args: tuple, value):
         per_args = self.content.get(name, _NONE)
         if value in per_args.get(args, _NONE):
             del per_args[args][value]
-            _drop_empty(per_args, args)
+            if not per_args[args]:
+                del per_args[args]
+                self._rejoin(name, args, False)
+
+    def join_index(self, name: str, shape: tuple) -> dict:
+        """The argument tuples in `content[name]` of shape (arity, positions),
+        by their values at those positions; built once, then kept."""
+        index = self.joins.get(name, _NONE).get(shape)
+        if index is None:
+            index = _index(self.content.get(name, _NONE), shape)
+            self.joins.setdefault(name, {})[shape] = index
+        return index
+
+    def _rejoin(self, name: str, args: tuple, entered: bool):
+        """Add an argument tuple that entered `content[name]` to the join
+        indexes over it, or drop one that left."""
+        for (arity, positions), index in self.joins.get(name, _NONE).items():
+            if len(args) == arity:
+                key = tuple([args[p] for p in positions])
+                if entered:
+                    index.setdefault(key, []).append(args)
+                else:
+                    index[key].remove(args)
+                    _drop_empty(index, key)
 
     def index(self, lo: int):
         """Bring the point index up to the window starting at `lo`: refresh the
@@ -305,7 +356,11 @@ class SdeStore:
             self._move((name, "end", value), args, [e for _s, e in old if e is not OPEN],
                        [e for _s, e in new if e is not OPEN], lo)
             if new:
-                self.content.setdefault(name, {}).setdefault(args, {})[value] = new
+                per_args = self.content.setdefault(name, {})
+                if args not in per_args:
+                    per_args[args] = {}
+                    self._rejoin(name, args, True)
+                per_args[args][value] = new
             else:
                 self._forget_content(name, args, value)
             moved.setdefault((name, value), set()).add(args)
@@ -457,6 +512,7 @@ class Engine:
         self._starts: dict[str, dict] = {}  # name -> args -> value -> initiations in window
         self._dirty = 0  # this query's dirty-from time
         self._cache: dict[tuple, dict] = {}  # (name, args) -> value -> intervals
+        self._entries: dict[tuple, tuple] = {}  # (name, args) -> the last _entries_of
         self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
         self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
 
@@ -574,14 +630,18 @@ class Engine:
         if rule.kind == TERMINATED:
             # a grounding with neither an initiation nor a kept start cannot
             # hold, so only the live ones need their terminations
-            steps.append(_join(lambda: state.live, head, slots, ("live", name), state.indexes))
+            live = lambda: state.live  # noqa: E731
+            index = _cached_index(live, ("live", name), state.indexes)
+            steps.append(_join(live, head, slots, index))
         steps += [self._step(lit, slots) for lit in join_order(rule)]
         grounded = self._grounded.get(name, set())
         check = name in self.ed.groundings and rule.kind != TERMINATED
         if any(is_var(a) and a not in slots for a in head):
             # the body leaves head variables free: the rule fires for every
             # grounding that matches the bound part
-            steps.append(_join(lambda: grounded, head, slots, name, self._domain_indexes))
+            domain = lambda: grounded  # noqa: E731
+            index = _cached_index(domain, name, self._domain_indexes)
+            steps.append(_join(domain, head, slots, index))
             check = False
         build = _builder([(slots[a], None) if is_var(a) else (None, a) for a in head])
         tslot, out = slots[rule.head_var], len(slots)
@@ -612,8 +672,8 @@ class Engine:
             pair = _builder([(slots[x], None) if is_var(x) else (None, x) for x in terms_of(lit)])
             return lambda nxt: lambda env: _compare(lit.op, *pair(env)) and nxt(env)
         if isinstance(lit, HoldsAt):
-            (rows, intervals), tslot = self._fluent(lit.fluent), slots[lit.time]
-            join = _join(rows, lit.fluent.args, slots, lit.fluent.name, state.indexes)
+            (rows, intervals, index), tslot = self._fluent(lit.fluent), slots[lit.time]
+            join = _join(rows, lit.fluent.args, slots, index)
             return lambda nxt: join(
                 nxt, lambda env, args: iv.holds_at(intervals(args), env[tslot]) and nxt(env)
             )
@@ -626,13 +686,13 @@ class Engine:
             rows = self._fresh(tag)
             points = lambda args: rows()[args]  # noqa: E731
         elif isinstance(event, BoundaryEvent):
-            rows, intervals = self._fluent(event.fluent)
+            rows, intervals, _ = self._fluent(event.fluent)
             which = f"{event.which}_points"
             points = lambda args: getattr(iv, which)(intervals(args))  # noqa: E731
         else:
             rows = lambda: state.events.get(name, _NONE)  # noqa: E731
             points = lambda args: rows()[args]  # noqa: E731
-        join = _join(rows, terms_of(lit), slots, tag or name, state.indexes)
+        join = _join(rows, terms_of(lit), slots, _cached_index(rows, tag or name, state.indexes))
         bound = lit.time in slots  # before this literal, or by its own arguments
         tslot = slots.setdefault(lit.time, len(slots))
 
@@ -665,16 +725,21 @@ class Engine:
 
         return rows
 
-    def _fluent(self, fv: FluentValue) -> tuple[Callable, Callable]:
+    def _fluent(self, fv: FluentValue) -> tuple[Callable, Callable, Callable]:
         """rows() of a fluent's argument tuples at this query, each mapped to
-        its value -> content dict, and args -> the intervals of fv's value.
-        Input content may reach past Qi, where evaluation cuts it."""
+        its value -> content dict, args -> the intervals of fv's value, and
+        shape -> index(), an index over rows(): the store keeps those over
+        input, and those over a derived fluent last one solve.  Input content may reach
+        past Qi, where evaluation cuts it."""
         name, value, state = fv.name, fv.value, self._state
         if self.ed.is_input(name):
-            content = state.store.content.setdefault(name, {})  # kept for good by the store
-            return (lambda: content), lambda args: content.get(args, _NONE).get(value, [])
+            store = state.store
+            content = store.content.setdefault(name, {})  # kept for good by the store
+            return ((lambda: content), lambda args: content.get(args, _NONE).get(value, []),
+                    lambda shape: partial(store.join_index, name, shape))
         rows = lambda: state.derived.get(name, _NONE)  # noqa: E731
-        return rows, lambda args: rows().get(args, _NONE).get(value, [])
+        return (rows, lambda args: rows().get(args, _NONE).get(value, []),
+                _cached_index(rows, name, state.indexes))
 
     def _compile_sd(self, rule: Rule) -> tuple:
         """Compile a holdsFor rule into (sources, fits, evaluate, derived):
@@ -693,7 +758,7 @@ class Engine:
         body, sources = [], []
         for lit in rule.body:
             if isinstance(lit, HoldsFor):
-                (rows, intervals), fv = self._fluent(lit.fluent), lit.fluent
+                (rows, intervals, _), fv = self._fluent(lit.fluent), lit.fluent
                 body.append((lit, over_head(fv.args), intervals, lit in required))
                 at = {t: pos for pos, t in reversed(list(enumerate(fv.args))) if is_var(t)}
                 if lit in required and at.keys() == first.keys():
@@ -929,29 +994,76 @@ class Engine:
     # -- reporting -----------------------------------------------------------
 
     def _classify(self, qi: int) -> list[ResultEntry]:
+        """Every interval's entry, ordered by name, arguments, value as text
+        and start.  A grounding whose intervals equal the last query's keeps
+        its entries until the next boundary reaches a start or end that
+        flips a stability."""
         next_boundary = qi + self.cfg.step - self.cfg.wm
-        entries = []
-        for (name, args), per_value in self._cache.items():
-            for value, ilist in per_value.items():
-                for s, e in ilist:
-                    if e is OPEN:
-                        stability = "open"
-                    elif e <= next_boundary:
-                        stability = "final"
-                    elif s <= next_boundary:
-                        stability = "partial"
-                    else:
-                        # both bounds may still be retracted: least stable class
-                        stability = "open"
-                    entries.append(ResultEntry(name, args, value, s, e, stability))
-        entries.sort(key=lambda en: (en.name, en.args, str(en.value), en.start))
+        last, kept, entries = self._entries, {}, []
+        for key in sorted(self._cache):
+            per_value, was = self._cache[key], last.get(key)
+            if was is None or next_boundary >= was[2] or was[0] != per_value:
+                was = _entries_of(key, per_value, next_boundary)
+            kept[key] = was
+            entries += was[1]
+        self._entries = kept
         return entries
+
+
+def _entries_of(key: tuple, per_value: dict, next_boundary: int) -> tuple:
+    """(per_value, a grounding's entries in order, the least start or end
+    after the next boundary, where a stability flips)."""
+    (name, args), entries, flip = key, [], math.inf
+    for value, ilist in per_value.items():
+        for s, e in ilist:
+            if e is OPEN:
+                stability = "open"
+            elif e <= next_boundary:
+                stability = "final"
+            elif s <= next_boundary:
+                stability, flip = "partial", min(flip, e)
+            else:
+                # both bounds may still be retracted: least stable class
+                stability, flip = "open", min(flip, s)
+            entries.append(ResultEntry(name, args, value, s, e, stability))
+    entries.sort(key=lambda en: (str(en.value), en.start))
+    return per_value, entries, flip
 
 
 # ---------------------------------------------------------------------------
 # Plan building blocks
 
 _NONE: dict = {}  # the empty mapping that lookups fall back to; never written
+_GONE = (None, None)  # SdeStore.by_id's entry of a record it does not hold
+
+
+def _index(rows: Iterable[tuple], shape: tuple) -> dict:
+    """The tuples of `rows` of shape (arity, positions) by their values at
+    those positions."""
+    arity, positions = shape
+    index: dict[tuple, list] = {}
+    for args in rows:
+        if len(args) == arity:
+            index.setdefault(tuple([args[p] for p in positions]), []).append(args)
+    return index
+
+
+def _cached_index(rows: Callable, tag, indexes: dict) -> Callable:
+    """shape -> index(), the index of that shape over rows(), built once and
+    kept in `indexes`, which its owner empties when rows() may have changed."""
+
+    def index_for(shape: tuple) -> Callable[[], dict]:
+        key = (tag, shape)
+
+        def index() -> dict:
+            out = indexes.get(key)
+            if out is None:
+                out = indexes[key] = _index(rows(), shape)
+            return out
+
+        return index
+
+    return index_for
 
 
 def _builder(parts: list) -> Callable:
@@ -962,25 +1074,21 @@ def _builder(parts: list) -> Callable:
     return itemgetter(*(index for index, _c in parts))
 
 
-def _join(rows: Callable, terms: tuple, slots: dict, tag, indexes: dict):
+def _join(rows: Callable, terms: tuple, slots: dict, index_for: Callable):
     """The step over the tuples of rows() that agree with the bound ones among
-    `terms`: one probe when all are bound, else a lookup in an index by the bound
-    positions.  Per tuple it binds the new variables, then calls expand or next."""
+    `terms`: one probe when all are bound, else a lookup in the index that
+    index_for(shape)() gives, the tuples of rows() of shape (arity, bound
+    positions) by those positions.  Per tuple it binds the new variables,
+    then calls expand or next."""
     key, binds, same = _split(terms, slots)
-    arity, positions = len(terms), tuple(pos for pos, _s, _c in key)
-    build, tag = _builder([(slot, c) for _pos, slot, c in key]), (tag, positions)
+    index = index_for((len(terms), tuple(pos for pos, _s, _c in key)))
+    build, whole = _builder([(slot, c) for _pos, slot, c in key]), len(key) == len(terms)
 
     def find(env):
-        if len(positions) == arity:
+        if whole:
             args = build(env)
             return (args,) if args in rows() else ()
-        index = indexes.get(tag)
-        if index is None:
-            index = indexes[tag] = {}
-            for args in rows():
-                if len(args) == arity:
-                    index.setdefault(tuple([args[p] for p in positions]), []).append(args)
-        return index.get(build(env), ())
+        return index().get(build(env), ())
 
     def make(nxt, expand=None):
         expand = expand or (lambda env, args: nxt(env))

@@ -703,6 +703,18 @@ def _expand_iff(head: FluentValue, groups: list, negated: list, line: int) -> Ru
     return Rule(HOLDS_FOR, head, out, tuple(body), line=line)
 
 
+def decode(data: bytes) -> str:
+    """A rule pack's text from its bytes; a byte that is not UTF-8 raises
+    RuleSyntaxError with its line and column."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise RuleSyntaxError(f"invalid UTF-8 byte {data[exc.start]:#04x}",
+                              data.count(b"\n", 0, exc.start) + 1,
+                              exc.start - line_start + 1) from None
+
+
 def parse(text: str) -> EventDescription:
     """Parse a rule pack.  A shorthand definition becomes its holdsFor rule."""
     return _Parser(text).parse()

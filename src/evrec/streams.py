@@ -169,9 +169,13 @@ def read_stream(path) -> StreamDocument:
     number; referential oddities become diagnostics."""
     doc = StreamDocument()
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+            try:
+                raw = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                message = f"invalid UTF-8 byte {raw[exc.start]:#04x}"
+                raise StreamFormatError(message, lineno) from None
             if not raw:
                 continue
             try:
@@ -261,8 +265,8 @@ def closeness(
     ticks collapse into maximal intervals.  `samples` may be InputRecords of
     kind "coord" or (entity, t, x, y) tuples.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not threshold >= 0:  # nan compares false
+        raise ValueError("threshold must be a non-negative number")
     by_entity: dict[str, list[tuple[int, float, float]]] = {}
     for s in samples:
         if isinstance(s, InputRecord):

@@ -253,3 +253,81 @@ def surveillance_batch(
             if ilist:
                 out[("leaving_object", (p, obj))] = ilist
     return out
+
+
+# ---------------------------------------------------------------------------
+# The store's records, forgotten by a scan of every stored item.
+
+
+class ScanStore:
+    """`SdeStore`'s events, durative items and record ids, in its shapes,
+    with `forget` as the scan over every stored item that it replaced."""
+
+    def __init__(self):
+        self.events: dict = {}  # name -> args -> [(t, id)]
+        self.durative: dict = {}  # name -> args -> value -> [[start, end, id]]
+        self.by_id: dict = {}  # id -> (slot, item)
+
+    def add_event(self, rec_id, name, args, t) -> bool:
+        if rec_id in self.by_id:
+            return False
+        item = (t, rec_id)
+        self.events.setdefault(name, {}).setdefault(args, []).append(item)
+        self.by_id[rec_id] = ((name, args), item)
+        return True
+
+    def add_interval(self, rec_id, name, args, value, start, end) -> bool:
+        if rec_id in self.by_id:
+            return False
+        item = [start, end, rec_id]
+        self.durative.setdefault(name, {}).setdefault(args, {}).setdefault(value, []).append(item)
+        self.by_id[rec_id] = ((name, args, value), item)
+        return True
+
+    def remove(self, rec_id) -> bool:
+        if rec_id not in self.by_id:
+            return False
+        slot, _item = self.by_id.pop(rec_id)
+        if len(slot) == 2:
+            per_args = self.events[slot[0]]
+            per_args[slot[1]] = [item for item in per_args[slot[1]] if item[1] != rec_id]
+            if not per_args[slot[1]]:
+                del per_args[slot[1]]
+        else:
+            per_args = self.durative[slot[0]]
+            per_value = per_args[slot[1]]
+            per_value[slot[2]] = [item for item in per_value[slot[2]] if item[2] != rec_id]
+            if not per_value[slot[2]]:
+                del per_value[slot[2]]
+            if not per_value:
+                del per_args[slot[1]]
+        return True
+
+    def forget(self, boundary: int):
+        """Drop all content at or before `boundary`; an interval that crosses
+        it keeps only the part after it."""
+        for per_args in self.events.values():
+            for args, items in list(per_args.items()):
+                kept = [item for item in items if item[0] > boundary]
+                for item in items:
+                    if item[0] <= boundary:
+                        del self.by_id[item[1]]
+                per_args[args] = kept
+                if not kept:
+                    del per_args[args]
+        for per_args in self.durative.values():
+            for args, per_value in list(per_args.items()):
+                for value, items in list(per_value.items()):
+                    kept = []
+                    for item in items:
+                        start, end, rec_id = item
+                        if end is not OPEN and end <= boundary + 1:
+                            del self.by_id[rec_id]
+                        else:
+                            item[0] = max(start, boundary + 1)
+                            kept.append(item)
+                    per_value[value] = kept
+                    if not kept:
+                        del per_value[value]
+                if not per_value:
+                    del per_args[args]

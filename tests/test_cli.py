@@ -199,3 +199,58 @@ def test_bench_rejects_a_tick_that_is_not_positive(tmp_path, capsys):
                      "--step", "40", "--tick-ms", "0", "--report", str(tmp_path / "r.csv")])
     assert code == 2
     assert "tick_ms must be positive" in capsys.readouterr().err
+
+
+# one input per way a command used to end in a traceback
+BAD_INPUTS = {
+    "no entities": ["gen", "--entities", "0"],
+    "no copies": ["gen", "--copies", "0"],
+    "five ticks": ["gen", "--duration", "5"],
+    "negative threshold": ["run", "--close-threshold", "-1"],
+    "nan threshold": ["run", "--close-threshold", "nan"],
+    "input a directory": ["run", "--input", "{dir}"],
+    "rules a directory": ["run", "--rules", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_reported_without_a_traceback(tmp_path, capsys, case):
+    stream = tmp_path / "s.jsonl"
+    stream.write_text('{"id": "e1", "kind": "event", "name": "appear", "args": ["p1"], "t": 2}\n'
+                      '{"id": "c1", "kind": "coord", "entity": "p1", "t": 2, "x": 1, "y": 1}\n')
+    command, *given = [arg.format(dir=tmp_path) for arg in BAD_INPUTS[case]]
+    if command == "gen":
+        argv = ["gen", "--out", str(tmp_path / "g.jsonl"), *given]
+    else:
+        options = {"--rules": RULES, "--input": str(stream), "--wm": "10", "--step": "10",
+                   "--out": str(tmp_path / "out.jsonl"), **dict(zip(given[::2], given[1::2]))}
+        argv = ["run", *(part for item in options.items() for part in item)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "g.jsonl").exists() and not (tmp_path / "out.jsonl").exists()
+
+
+def test_undecodable_rules_are_reported_with_their_line(tmp_path, capsys):
+    rules = tmp_path / "pack.rtec"
+    rules.write_bytes(b"input event e/1\n% caf\xe9\n")
+    with pytest.raises(language.RuleSyntaxError) as err:
+        language.decode(rules.read_bytes())
+    assert (err.value.line, err.value.col) == (2, 6)
+    code = cli.main(["run", "--rules", str(rules), "--input", "x.jsonl", "--wm", "10",
+                     "--step", "10", "--out", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    assert "error: invalid UTF-8 byte 0xe9 (line 2, column 6)" in capsys.readouterr().err
+
+
+def test_an_undecodable_stream_line_is_reported_with_its_line(tmp_path, capsys):
+    stream = tmp_path / "s.jsonl"
+    stream.write_bytes(b'{"id": "e1", "kind": "event", "name": "appear", "args": ["p1"], "t": 2}\n'
+                       b'{"id": "e2", "kind": "event", "name": "appear", "args": ["\xff"]}\n')
+    with pytest.raises(streams.StreamFormatError) as err:
+        streams.read_stream(stream)
+    assert err.value.line == 2
+    code = cli.main(["run", "--rules", RULES, "--input", str(stream), "--wm", "10",
+                     "--step", "10", "--out", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    assert "error: invalid UTF-8 byte 0xff (line 2)" in capsys.readouterr().err

@@ -17,6 +17,8 @@ from evrec.engine import (
     Engine,
     EngineConfig,
     EvaluationError,
+    ResultEntry,
+    SdeStore,
     record_arrival,
     record_occurrence,
     run_stream,
@@ -529,6 +531,15 @@ def test_state_stays_inside_the_window_on_a_long_stream():
                        for ts in per_value.values() for t in ts)
         for per_value in engine.prev_cache.values():
             assert all(e is OPEN or e > b for ilist in per_value.values() for _s, e in ilist)
+        # with no revision, each stored item waits in the start heap or was cut
+        # at the window start; each join index holds each tuple of content once
+        store = engine.store
+        assert all(entry[0] > b for entry in store.starts)
+        assert len(store.starts) + len(store.crossing) == len(store.by_id)
+        for name, shapes in store.joins.items():
+            for index in shapes.values():
+                assert sum(map(len, index.values())) <= len(store.content[name])
+        assert engine._entries.keys() == engine.prev_cache.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +742,13 @@ def mixed_stream(rng, max_delay, revise_share):
         for y in ("a", "b", "c"):
             if y != x:
                 recs += [interval("near", (x, y), s, e) for s, e in spans(2)]
+    return delayed(recs, rng, max_delay, revise_share)
+
+
+def delayed(recs, rng, max_delay, revise_share):
+    """recs in arrival order, each arriving up to `max_delay` ticks after it
+    occurs; a share of them is retracted or updated up to `max_delay` ticks
+    after arriving."""
     out = []
     for rec in recs:
         arrival = record_occurrence(rec) + rng.randint(0, max_delay)
@@ -876,6 +894,150 @@ def test_content_announced_before_it_starts_stays_past_qi_until_reached():
     moving_sd = {(q, s, e) for q, _n, args, s, e, _st in entries_of(results, "moving_sd")
                  if args == ("p1", "p2")}
     assert {(10, 8, None), (20, 8, 12), (30, 30, None)} <= moving_sd
+
+
+def store_stream(rng, wm):
+    """Input for the store alone, in arrival order: events and intervals,
+    some announced before they start, some open, many straddling a window
+    start; a share is retracted or updated, often after forgetting cut it.
+    A tenth of the near records has one argument, not two."""
+    ids, recs = itertools.count(1), []
+    for _ in range(rng.randrange(60)):
+        x, y = rng.sample("abc", 2)
+        if rng.random() < 0.3:
+            rec = ev(next(ids), "up", (x,), rng.randrange(HORIZON))
+            arrival = rec.t + rng.randint(0, wm)
+        else:
+            name, args = rng.choice([("on", (x,)), ("near", (x, y)), ("near", (x, y)),
+                                     ("near", (x,))] if rng.random() < 0.1 else
+                                    [("on", (x,)), ("near", (x, y))])
+            s = rng.randrange(HORIZON)
+            end = None if rng.random() < 0.15 else s + rng.randrange(1, 60)
+            rec = fl(next(ids), name, args, s, end)
+            arrival = max(0, s + rng.randint(-20, wm))
+        recs.append(replace(rec, arrival=arrival))
+        if rng.random() < 0.3:
+            late = arrival + rng.randint(0, 2 * wm)
+            if rec.kind == "interval" and rng.random() < 0.5:
+                s = max(0, rec.start + rng.randint(-10, 10))
+                end = None if rng.random() < 0.15 else s + rng.randrange(1, 60)
+                recs.append(replace(rec, action="update", start=s, end=end, arrival=late))
+            else:
+                recs.append(InputRecord(id=rec.id, action="retract", arrival=late))
+    return sorted(recs, key=record_arrival)
+
+
+def apply_to(store, rec, boundary):
+    """What Engine._apply asks of a store for one record."""
+    if rec.action != "assert":
+        store.remove(rec.id)
+        if rec.action == "retract":
+            return
+    if rec.kind == "event":
+        if rec.t > boundary:
+            store.add_event(rec.id, rec.name, rec.args, rec.t)
+    elif rec.end is OPEN or rec.end > boundary + 1:
+        store.add_interval(rec.id, rec.name, rec.args, rec.value, rec.start, rec.end)
+
+
+JOIN_SHAPES = [("near", (2, (0,))), ("near", (2, (1,))), ("near", (2, ())), ("on", (1, ())),
+               ("near", (1, (0,)))]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 6))
+def test_forgetting_by_start_equals_the_scan_over_every_item(seed, step, steps_per_window):
+    rng = random.Random(seed)
+    wm = step * steps_per_window + rng.randrange(step)
+    recs = store_stream(rng, wm)
+    store, scan = SdeStore(), reference.ScanStore()
+    late_shapes = rng.sample(JOIN_SHAPES, 2)  # asked for only once the window moves
+    last_q = step * math.ceil((max((r.arrival for r in recs), default=0) + HORIZON + wm) / step)
+    idx = 0
+    for qi in range(step, last_q + 1, step):
+        b = qi - wm
+        while idx < len(recs) and recs[idx].arrival <= qi:
+            apply_to(store, recs[idx], b)
+            apply_to(scan, recs[idx], b)
+            idx += 1
+        store.forget(b)
+        store.index(b + 1)
+        scan.forget(b)
+        for name, shape in JOIN_SHAPES if qi == step else late_shapes if qi == 3 * step else ():
+            store.join_index(name, shape)
+        assert (store.events, store.durative, store.by_id) == (scan.events, scan.durative,
+                                                               scan.by_id), f"query {qi}"
+        assert_index_matches_store(store, b + 1, step, qi)
+        for name, shapes in store.joins.items():
+            for (arity, positions), index in shapes.items():
+                rebuilt = {}
+                for args in store.content.get(name, {}):
+                    if len(args) == arity:
+                        rebuilt.setdefault(tuple(args[p] for p in positions), set()).add(args)
+                assert all(len(rows) == len(set(rows)) for rows in index.values())
+                assert {key: set(rows) for key, rows in index.items()} == rebuilt
+        # popped by start, the heap holds only items that start after the
+        # window start, and the crossing set only held items cut to start
+        # just after it; every held item is in one of the two
+        assert all(entry[0] > b for entry in store.starts)
+        assert all(store.by_id[rec_id][1][0] == b + 1 for rec_id in store.crossing)
+        pushed = {id(entry[3]) for entry in store.starts}
+        assert all(rec_id in store.crossing or id(item) in pushed
+                   for rec_id, (_slot, item) in store.by_id.items())
+
+
+def classified(cache: dict, next_boundary: int) -> list:
+    """One entry per interval of a query's results, with its stability by
+    definition, in the output order."""
+    entries = []
+    for (name, args), per_value in cache.items():
+        for value, ilist in per_value.items():
+            for s, e in ilist:
+                if e is not OPEN and e <= next_boundary:
+                    stability = "final"
+                elif e is not OPEN and s <= next_boundary:
+                    stability = "partial"
+                else:
+                    stability = "open"
+                entries.append(ResultEntry(name, args, value, s, e, stability))
+    return sorted(entries, key=lambda en: (en.name, en.args, str(en.value), en.start))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 8), st.booleans(),
+       st.booleans())
+def test_carried_entries_equal_a_classification_from_scratch(seed, step, steps_per_window,
+                                                              revised, mixed):
+    rng = random.Random(seed)
+    wm = step * steps_per_window + rng.randrange(step)
+    max_delay, share = (wm - step, 0.25) if revised else (0, 0)
+    if mixed:
+        ed, recs = lang.load(MIXED_PACK)[0], mixed_stream(rng, max_delay, share)
+    else:
+        ed = surveillance(*ENTITIES)
+        recs = delayed(random_stream(rng, 0, 0), rng, max_delay, share)
+    engine = Engine(ed, EngineConfig(wm=wm, step=step))
+    last_q = step * math.ceil((max(r.arrival for r in recs) + HORIZON + wm) / step)
+    idx = 0
+    for qi in range(step, last_q + 1, step):
+        while idx < len(recs) and recs[idx].arrival <= qi:
+            engine.ingest([recs[idx]])
+            idx += 1
+        entries = engine.query(qi).entries
+        assert entries == classified(engine.prev_cache, qi + step - wm), f"query {qi}"
+
+
+def test_carried_entries_flip_as_the_next_boundary_passes_an_endpoint():
+    # busy(a) is [12, 25) from q=30 on and its entry is carried; the next
+    # boundary reaches its start at q=40 and its end at q=50
+    ed, _ = lang.load(MIXED_PACK)
+    engine = Engine(ed, EngineConfig(wm=30, step=10))
+    engine.ingest([InputRecord(id="r1", kind="interval", name="on", args=("a",), value="true",
+                               start=12, end=25)])
+    busy = []
+    for qi in range(10, 70, 10):
+        busy += [(qi, e.start, e.end, e.stability) for e in engine.query(qi).entries
+                 if e.name == "busy"]
+    assert busy == [(20, 12, None, "open"), (30, 12, 25, "open"), (40, 12, 25, "partial"),
+                    (50, 12, 25, "final")]
 
 
 TEST_PACKS = {"surveillance": PACK, "mixed": MIXED_PACK, **packs.BY_NAME}
