@@ -18,9 +18,11 @@ Output schema (`write_results`), one entry per line::
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -97,7 +99,13 @@ def _number(obj: dict, key: str, line: int) -> float:
     value = _require(obj, key, line)
     if type(value) is not float and type(value) is not int:
         raise StreamFormatError(f"{key!r} must be a number", line)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json.loads reads NaN and Infinity
+        raise StreamFormatError(f"{key!r} must be a finite number", line)
+    return number
 
 
 def parse_record(obj: dict, line: int = 0) -> InputRecord:
@@ -110,9 +118,11 @@ def parse_record(obj: dict, line: int = 0) -> InputRecord:
     arrival = obj.get("arrival")
     if arrival is not None and (type(arrival) is not int or arrival < 0):
         raise StreamFormatError("arrival must be a non-negative integer", line)
+    kind = obj.get("kind", "event") if action == "retract" else _require(obj, "kind", line)
+    if kind not in ("event", "interval", "coord"):
+        raise StreamFormatError(f"unknown record kind {kind!r}", line)
     if action == "retract":
-        return InputRecord(id=rec_id, action=action, kind=obj.get("kind", "event"), arrival=arrival)
-    kind = _require(obj, "kind", line)
+        return InputRecord(id=rec_id, action=action, kind=kind, arrival=arrival)
     if kind == "event":
         t = _require(obj, "t", line)
         if type(t) is not int or t < 0:
@@ -147,21 +157,19 @@ def parse_record(obj: dict, line: int = 0) -> InputRecord:
             end=end,
             arrival=arrival,
         )
-    if kind == "coord":
-        t = _require(obj, "t", line)
-        if type(t) is not int or t < 0:
-            raise StreamFormatError("t must be a non-negative integer", line)
-        return InputRecord(
-            id=rec_id,
-            action=action,
-            kind=kind,
-            entity=str(_require(obj, "entity", line)),
-            t=t,
-            x=_number(obj, "x", line),
-            y=_number(obj, "y", line),
-            arrival=arrival,
-        )
-    raise StreamFormatError(f"unknown record kind {kind!r}", line)
+    t = _require(obj, "t", line)  # kind "coord"
+    if type(t) is not int or t < 0:
+        raise StreamFormatError("t must be a non-negative integer", line)
+    return InputRecord(
+        id=rec_id,
+        action=action,
+        kind=kind,
+        entity=str(_require(obj, "entity", line)),
+        t=t,
+        x=_number(obj, "x", line),
+        y=_number(obj, "y", line),
+        arrival=arrival,
+    )
 
 
 def read_stream(path) -> StreamDocument:
@@ -252,6 +260,11 @@ def simulate_delays(records: Sequence[InputRecord], model: DelayModel) -> list[I
 # Closeness preprocessing
 
 
+# Samples the closeness join takes at once.  A block holds whole ticks, so
+# its size bounds the join's temporaries and never changes its answer.
+_JOIN_BLOCK = 8192
+
+
 def closeness(
     samples: Iterable,
     pairs: Sequence[tuple[str, str]],
@@ -261,57 +274,47 @@ def closeness(
     """Turn coordinate samples into durative `close` fluent records.
 
     A pair is close at tick t iff both entities have a sample at t and their
-    Euclidean distance does not exceed `threshold` pixels.  Consecutive close
-    ticks collapse into maximal intervals.  `samples` may be InputRecords of
-    kind "coord" or (entity, t, x, y) tuples.
+    Euclidean distance does not exceed `threshold` pixels; an entity is never
+    close to itself.  Consecutive close ticks collapse into maximal intervals,
+    emitted pair by pair in the order of `pairs`.
+
+    `samples` may be (entity, t, x, y) tuples or InputRecords, which apply in
+    order by id: the last assert or update of kind "coord" gives the sample,
+    and a retract drops it.  An entity sampled twice at one tick keeps its
+    least (x, y).  Coordinates must be finite.
+
+    All close pairs come from one grid join, not one comparison per pair.
+    Each sample falls into a square cell a hair wider than the threshold, so
+    two samples within it share a tick and lie in the same or neighbouring
+    cells.  Samples sorted by (tick, cell) are matched against the 9 cells
+    around each, in blocks of whole ticks.  The cost is O(n log n + c) for n
+    samples and c sample pairs in neighbouring cells, plus one dictionary
+    lookup per entry of `pairs`.
     """
     if not threshold >= 0:  # nan compares false
         raise ValueError("threshold must be a non-negative number")
-    by_entity: dict[str, list[tuple[int, float, float]]] = {}
-    for s in samples:
-        if isinstance(s, InputRecord):
-            if s.kind != "coord":
-                continue
-            by_entity.setdefault(s.entity, []).append((s.t, s.x, s.y))
-        else:
-            entity, t, x, y = s
-            by_entity.setdefault(entity, []).append((t, x, y))
-    arrays = {}
-    for entity, pts in by_entity.items():
-        pts.sort()
-        arr = np.asarray(pts, dtype=float)
-        arrays[entity] = (arr[:, 0].astype(int), arr[:, 1:])
-
-    interval_cache: dict[frozenset, list[tuple[int, int]]] = {}
-
-    def pair_intervals(a: str, b: str) -> list[tuple[int, int]]:
-        key = frozenset((a, b))
-        cached = interval_cache.get(key)
-        if cached is not None:
-            return cached
-        out: list[tuple[int, int]] = []
-        if a in arrays and b in arrays:
-            ta, xa = arrays[a]
-            tb, xb = arrays[b]
-            common, ia, ib = np.intersect1d(ta, tb, return_indices=True)
-            if common.size:
-                dist = np.linalg.norm(xa[ia] - xb[ib], axis=1)
-                close_ts = common[dist <= threshold]
-                if close_ts.size:
-                    gaps = np.where(np.diff(close_ts) > 1)[0]
-                    for run in np.split(close_ts, gaps + 1):
-                        out.append((int(run[0]), int(run[-1]) + 1))
-        interval_cache[key] = out
-        return out
+    codes, key, tick = _close_hits(samples, threshold)
+    # each (pair, tick) is hit once: cut runs of consecutive ticks
+    order = np.lexsort((tick, key))
+    key = key[order]
+    tick = tick[order]
+    new_run = np.ones(len(key), dtype=bool)
+    new_run[1:] = (key[1:] != key[:-1]) | (tick[1:] != tick[:-1] + 1)
+    run_at = np.flatnonzero(new_run)
+    run_end = np.r_[tick[run_at[1:] - 1], tick[-1:]] + 1
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for k, s, e in zip(key[run_at].tolist(), tick[run_at].tolist(), run_end.tolist()):
+        runs.setdefault(k, []).append((s, e))
 
     records = []
-    counter = 0
     for a, b in pairs:
-        for s, e in pair_intervals(a, b):
-            counter += 1
+        ca, cb = codes.get(a), codes.get(b)
+        if ca is None or cb is None:
+            continue
+        for s, e in runs.get(min(ca, cb) * len(codes) + max(ca, cb), ()):
             records.append(
                 InputRecord(
-                    id=f"{id_prefix}-{counter:06d}",
+                    id=f"{id_prefix}-{len(records) + 1:06d}",
                     kind="interval",
                     name="close",
                     args=(a, b),
@@ -321,6 +324,96 @@ def closeness(
                 )
             )
     return records
+
+
+def _close_hits(samples: Iterable, threshold: float) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The code of each entity, then the pair key a * len(codes) + b and the
+    tick of each pair of samples within `threshold`, where a < b are the
+    samples' entity codes."""
+    codes, ent, t, xy = _coordinates(samples)
+    if not len(t):
+        return codes, t, t  # no hits
+    # The side is over the threshold by a relative 1e-9, and at least 2**-21 of
+    # the largest coordinate, so |x / side| <= 2**21: its rounding then stays
+    # under that 1e-9, and cannot put two samples within the threshold two
+    # cells apart.  The last term keeps the side positive at threshold 0.
+    side = max(threshold * (1 + 1e-9), float(np.abs(xy).max()) * 2.0**-21, 2.0**-1000)
+    tick_starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    keys, ticks = [], []
+    lo = 0
+    while lo < len(t):
+        at = np.searchsorted(tick_starts, lo + _JOIN_BLOCK)
+        hi = int(tick_starts[at]) if at < len(tick_starts) else len(t)
+        i, j = _neighbours(t[lo:hi], np.floor(xy[lo:hi] / side).astype(np.int64))
+        keep = ent[i + lo] < ent[j + lo]
+        i, j = i[keep] + lo, j[keep] + lo
+        near = np.linalg.norm(xy[i] - xy[j], axis=1) <= threshold
+        i, j = i[near], j[near]
+        keys.append(ent[i] * len(codes) + ent[j])
+        ticks.append(t[i])
+        lo = hi
+    return codes, np.concatenate(keys), np.concatenate(ticks)
+
+
+def _coordinates(samples: Iterable) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+    """The code of each entity, then the entity code, tick and (x, y) of each
+    sample in the order of (tick, entity), one sample per entity and tick."""
+    records, rows = [], []
+    for s in samples:
+        (records if isinstance(s, InputRecord) else rows).append(s)
+    if any(r.action != "assert" for r in records):
+        live = {}  # record id -> the record giving its sample
+        for r in records:
+            if r.action == "retract":
+                live.pop(r.id, None)
+            else:
+                live[r.id] = r
+        records = list(live.values())
+    records = [r for r in records if r.kind == "coord"]
+    n = len(records) + len(rows)
+
+    def column(field: str, at: int):
+        return chain(map(attrgetter(field), records), map(itemgetter(at), rows))
+
+    names = list(column("entity", 0))
+    codes = {name: code for code, name in enumerate(dict.fromkeys(names))}
+    ent = np.fromiter(map(codes.__getitem__, names), np.int64, n)
+    t = np.fromiter(column("t", 1), np.int64, n)
+    xy = np.empty((n, 2))
+    xy[:, 0] = np.fromiter(column("x", 2), float, n)
+    xy[:, 1] = np.fromiter(column("y", 3), float, n)
+    if not np.isfinite(xy).all():
+        raise ValueError("coordinates must be finite numbers")
+    # by tick, entity, x, y: the first sample of an entity at a tick is its least
+    order = np.lexsort((xy[:, 1], xy[:, 0], ent, t))
+    t = t[order]
+    ent = ent[order]
+    xy = xy[order]
+    first = np.ones(len(t), dtype=bool)
+    first[1:] = (t[1:] != t[:-1]) | (ent[1:] != ent[:-1])
+    return codes, ent[first], t[first], xy[first]
+
+
+def _neighbours(t: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of samples at one tick in the same or neighbouring
+    cells, each pair both ways and each sample with itself; `t` is sorted."""
+    tick = np.cumsum(np.r_[0, t[1:] != t[:-1]])
+    cx = cell[:, 0] - cell[:, 0].min() + 1  # so cx - 1 and cy - 1 are >= 0
+    cy = cell[:, 1] - cell[:, 1].min() + 1
+    width, height = int(cx.max()) + 2, int(cy.max()) + 2
+    key = (tick * height + cy) * width + cx
+    order = np.argsort(key)
+    sorted_key = key[order]
+    i_parts, j_parts = [], []
+    # cells x-1, x, x+1 of one row are consecutive keys
+    for dy in (-1, 0, 1):
+        row = key + dy * width
+        first = np.searchsorted(sorted_key, row - 1, "left")
+        count = np.searchsorted(sorted_key, row + 1, "right") - first
+        i_parts.append(np.repeat(np.arange(len(key)), count))
+        offset = np.repeat(first - np.cumsum(count) + count, count)
+        j_parts.append(order[np.arange(int(count.sum())) + offset])
+    return np.concatenate(i_parts), np.concatenate(j_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +445,11 @@ def stream_entities(records: Iterable[InputRecord]) -> list[str]:
     """Distinct entity constants mentioned by a stream, sorted."""
     out = set()
     for rec in records:
+        if rec.action == "retract":
+            continue
         if rec.kind == "coord":
             out.add(rec.entity)
-        elif rec.kind in ("event", "interval") and rec.action != "retract":
+        elif rec.kind in ("event", "interval"):
             out.update(a for a in rec.args if isinstance(a, str))
     return sorted(out)
 

@@ -2,10 +2,15 @@
 
 Everything here works point by point on explicit tick sets, deliberately
 avoiding the interval-list algorithms under test.  Slow and obvious beats
-fast and clever for an oracle.
+fast and clever for an oracle.  `pairwise_closeness` is the exception: it is
+the per-pair closeness preprocessor that the grid join replaced.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from evrec.streams import InputRecord
 
 OPEN = None
 
@@ -331,3 +336,59 @@ class ScanStore:
                         del per_value[value]
                 if not per_value:
                     del per_args[args]
+
+
+# ---------------------------------------------------------------------------
+# Closeness, pair by pair: the preprocessor `streams.closeness` replaced.
+
+
+def pairwise_closeness(samples, pairs, threshold: float, id_prefix: str = "close") -> list:
+    """`close` interval records from coordinate samples, one tick
+    intersection and distance test per pair.  Takes assert-only samples, as
+    InputRecords of kind "coord" or (entity, t, x, y) tuples; an entity
+    sampled twice at one tick keeps its least (x, y)."""
+    by_entity: dict = {}
+    for s in samples:
+        if isinstance(s, InputRecord):
+            if s.kind != "coord":
+                continue
+            by_entity.setdefault(s.entity, []).append((s.t, s.x, s.y))
+        else:
+            entity, t, x, y = s
+            by_entity.setdefault(entity, []).append((t, x, y))
+    arrays = {}
+    for entity, pts in by_entity.items():
+        pts.sort()
+        arr = np.asarray(pts, dtype=float)
+        arrays[entity] = (arr[:, 0].astype(int), arr[:, 1:])
+
+    def pair_intervals(a, b) -> list:
+        out = []
+        if a in arrays and b in arrays:
+            ta, xa = arrays[a]
+            tb, xb = arrays[b]
+            common, ia, ib = np.intersect1d(ta, tb, return_indices=True)
+            if common.size:
+                dist = np.linalg.norm(xa[ia] - xb[ib], axis=1)
+                close_ts = common[dist <= threshold]
+                if close_ts.size:
+                    gaps = np.where(np.diff(close_ts) > 1)[0]
+                    for run in np.split(close_ts, gaps + 1):
+                        out.append((int(run[0]), int(run[-1]) + 1))
+        return out
+
+    records = []
+    for a, b in pairs:
+        for s, e in pair_intervals(a, b):
+            records.append(
+                InputRecord(
+                    id=f"{id_prefix}-{len(records) + 1:06d}",
+                    kind="interval",
+                    name="close",
+                    args=(a, b),
+                    value="true",
+                    start=s,
+                    end=e,
+                )
+            )
+    return records

@@ -254,3 +254,45 @@ def test_an_undecodable_stream_line_is_reported_with_its_line(tmp_path, capsys):
                      "--step", "10", "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
     assert "error: invalid UTF-8 byte 0xff (line 2)" in capsys.readouterr().err
+
+
+# a revision of coordinate sample b1, and the close intervals of (p1, p2) after it
+COORD_REVISIONS = {
+    "none": ("", [(2, 3)]),
+    "retract": ('{"id": "b1", "action": "retract"}', []),
+    "coord-kind retract": ('{"id": "b1", "action": "retract", "kind": "coord"}', []),
+    "update away": ('{"id": "b1", "action": "update", "kind": "coord", "entity": "p2", '
+                    '"t": 2, "x": 90, "y": 1}', []),
+    "update to another tick": ('{"id": "b1", "action": "update", "kind": "coord", '
+                               '"entity": "p2", "t": 3, "x": 1, "y": 1}', [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COORD_REVISIONS))
+def test_run_applies_coordinate_revisions(tmp_path, capsys, case):
+    revision, spans = COORD_REVISIONS[case]
+    stream = tmp_path / "s.jsonl"
+    stream.write_text(
+        '{"id": "a1", "kind": "coord", "entity": "p1", "t": 2, "x": 1, "y": 1}\n'
+        '{"id": "a2", "kind": "coord", "entity": "p1", "t": 3, "x": 1, "y": 1}\n'
+        '{"id": "b1", "kind": "coord", "entity": "p2", "t": 2, "x": 2, "y": 1}\n'
+        + revision + "\n"
+    )
+    _ed, records = cli._prepare(RULES, str(stream), 25.0)
+    assert [(r.start, r.end) for r in records if r.args == ("p1", "p2")] == spans
+    assert all(r.kind == "interval" for r in records)
+    assert cli.main(["run", "--rules", RULES, "--input", str(stream), "--wm", "10",
+                     "--step", "10", "--out", str(tmp_path / "out.jsonl")]) == 0
+    err = capsys.readouterr().err
+    assert "unknown or already-forgotten" not in err and "Traceback" not in err
+
+
+def test_run_reports_a_retract_of_an_unknown_kind_with_its_line(tmp_path, capsys):
+    stream = tmp_path / "s.jsonl"
+    stream.write_text('{"id": "a1", "kind": "coord", "entity": "p1", "t": 2, "x": 1, "y": 1}\n'
+                      '{"id": "a1", "action": "retract", "kind": "wat"}\n')
+    code = cli.main(["run", "--rules", RULES, "--input", str(stream), "--wm", "10",
+                     "--step", "10", "--out", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown record kind 'wat' (line 2)") and "Traceback" not in err

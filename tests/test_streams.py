@@ -1,10 +1,16 @@
 import json
 import math
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from evrec import streams
 from evrec.streams import DelayModel, InputRecord, StreamFormatError
+
+import reference
 
 
 def test_parse_event_record():
@@ -179,6 +185,103 @@ def test_closeness_monotone_in_threshold():
     assert counts == sorted(counts)
 
 
+ENTITIES = ("a", "b", "c", "d")
+
+
+@st.composite
+def closeness_cases(draw):
+    """Samples, pairs and a threshold that probe the grid join: coordinates
+    negative, far from the origin and on or one float below cell borders;
+    two samples straddling a cell corner or exactly the threshold apart;
+    entities sampled twice at a tick; entities in pairs with no samples; a
+    pair in both orders, and an entity paired with itself."""
+    threshold = draw(st.sampled_from([0.0, 0.1, 1.0, 2.5, 25.0]) | st.floats(0, 50))
+    base = draw(st.sampled_from([0.0, -7.0, 1e3, -1e6, 1e12]))
+    side = threshold * (1 + 1e-9)  # the grid's cell side, near the origin
+    border = st.integers(-2, 2).map(lambda k: base + k * side)
+    coordinate = st.one_of(
+        border,
+        border.map(lambda v: math.nextafter(v, -math.inf)),
+        st.integers(-4, 4).map(lambda k: base + k * threshold),
+        st.floats(-60, 60).map(lambda v: base + v),
+    )
+    entity, tick = st.sampled_from(ENTITIES), st.integers(0, 6)
+    samples = []
+    for shape in draw(st.lists(st.sampled_from(["one", "corner", "apart"]), max_size=16)):
+        t = draw(tick)
+        if shape == "one":
+            samples.append((draw(entity), t, draw(coordinate), draw(coordinate)))
+            continue
+        x, y = draw(border), draw(border)
+        if shape == "corner":  # in diagonal cells, a fifth of the threshold apart
+            dx, dy = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+            u, v = x + 0.07 * dx * threshold, y + 0.07 * dy * threshold
+            x, y = x - 0.07 * dx * threshold, y - 0.07 * dy * threshold
+        else:  # the threshold apart, from one float below a border
+            x = math.nextafter(x, -math.inf)
+            u, v = draw(st.sampled_from([(x + threshold, y), (x, y - threshold), (x, y + threshold)]))
+        samples += [(draw(entity), t, x, y), (draw(entity), t, u, v)]
+    as_records = draw(st.lists(st.booleans(), min_size=len(samples), max_size=len(samples)))
+    samples = [
+        InputRecord(id=f"c{i}", kind="coord", entity=e, t=t, x=x, y=y) if rec else (e, t, x, y)
+        for i, ((e, t, x, y), rec) in enumerate(zip(samples, as_records))
+    ]
+    names = (*ENTITIES, "z")
+    pairs = draw(st.permutations([(a, b) for a in names for b in names]))
+    return samples, pairs, threshold
+
+
+BELOW_ZERO = math.nextafter(0.0, -math.inf)
+
+
+@given(closeness_cases(), st.sampled_from([1, 2, 3, streams._JOIN_BLOCK]))
+# the threshold apart from one float below a border, which a side of exactly
+# the threshold puts two cells apart
+@example(([("a", 1, BELOW_ZERO, 0.0), ("b", 1, BELOW_ZERO + 0.1, 0.0)], [("a", "b")], 0.1), 1)
+# across a cell corner, each way round, and an entity paired with itself
+@example(([("a", 1, 0.1, -0.1), ("b", 1, -0.1, 0.1), ("c", 1, -0.1, -0.1), ("d", 1, 0.1, 0.1)],
+          [("a", "b"), ("c", "d"), ("a", "a")], 1.0), 8192)
+def test_closeness_equals_the_pairwise_reference(case, block):
+    samples, pairs, threshold = case
+    expected = reference.pairwise_closeness(samples, [(a, b) for a, b in pairs if a != b], threshold)
+    # a block of a few samples still holds whole ticks
+    with mock.patch.object(streams, "_JOIN_BLOCK", block):
+        assert streams.closeness(samples, pairs, threshold) == expected
+
+
+def test_closeness_takes_coordinates_far_beyond_the_threshold():
+    samples = [("a", 1, 1e150, 0.0), ("b", 1, 1e150, 0.5), ("c", 1, -3.0, 0.0), ("d", 1, -2.5, 0.0)]
+    pairs = [("a", "b"), ("c", "d"), ("a", "c")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cell number overflows
+        got = streams.closeness(samples, pairs, 1.0)
+    assert got == reference.pairwise_closeness(samples, pairs, 1.0)
+    assert [r.args for r in got] == [("a", "b"), ("c", "d")]
+
+
+def test_closeness_applies_coordinate_revisions():
+    samples = [coord("a", 1, 0, 0), coord("b", 1, 1, 0), coord("a", 2, 0, 0), coord("b", 2, 1, 0)]
+
+    def spans(recs):
+        return [(r.start, r.end) for r in streams.closeness(recs, [("a", "b")], 2.0)]
+
+    assert spans(samples) == [(1, 3)]
+    moved = InputRecord(id="b-1", action="update", kind="coord", entity="b", t=1, x=9.0, y=0.0)
+    assert spans(samples + [moved]) == [(2, 3)]
+    # an update back, and a kind-less retract of a sample
+    back = InputRecord(id="b-1", action="update", kind="coord", entity="b", t=1, x=1.0, y=0.0)
+    assert spans(samples + [moved, back]) == [(1, 3)]
+    assert spans(samples + [InputRecord(id="a-2", action="retract")]) == [(1, 2)]
+    # a retract before the record's assert does not drop it
+    assert spans([InputRecord(id="a-2", action="retract"), *samples]) == [(1, 3)]
+
+
+def test_closeness_rejects_coordinates_that_are_not_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            streams.closeness([("a", 1, 0.0, 0.0), ("b", 1, bad, 0.0)], [("a", "b")], 5.0)
+
+
 def test_write_results_schema(tmp_path):
     from evrec.engine import RecognitionResult, ResultEntry
 
@@ -201,6 +304,8 @@ def test_stream_entities_and_auto_domains():
         InputRecord(id="2", kind="coord", entity="p1", t=1, x=0.0, y=0.0),
     ]
     assert streams.stream_entities(recs) == ["p1", "p2"]
+    retracts = [InputRecord(id="2", action="retract", kind="coord"), InputRecord(id="1", action="retract")]
+    assert streams.stream_entities(recs + retracts) == ["p1", "p2"]
     ed = lang.parse("domain ent = auto\ninput event appear/1\n")
     ed2 = streams.fill_auto_domains(ed, recs)
     assert ed2.domains["ent"] == ("p1", "p2")
@@ -227,6 +332,10 @@ MALFORMED = {
     "x a string": {**COORD, "x": "left"},
     "y a list": {**COORD, "y": [2]},
     "x a boolean": {**COORD, "x": True},
+    "x not a number": {**COORD, "x": math.nan},
+    "y infinite": {**COORD, "y": -math.inf},
+    "x beyond the float range": {**COORD, "x": 10**400},
+    "retract of an unknown kind": {"id": "x", "action": "retract", "kind": "wat"},
 }
 
 
