@@ -17,7 +17,8 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .engine import ConfigError, EngineConfig, RecognitionResult, ResultEntry, run_stream
+from .engine import (ConfigError, EngineConfig, RecognitionResult, ResultEntry, run_stream,
+                     select_reported)
 from .language import EventDescription
 
 
@@ -124,7 +125,7 @@ def run_sharded(
         entries = sorted(
             per_query[q], key=lambda e: (e.name, e.args, str(e.value), e.start)
         )
-        merged.append(RecognitionResult(q, entries, entries))
+        merged.append(RecognitionResult(q, entries, select_reported(entries, cfg.mode)))
     latencies = [max(col) for col in zip(*(t for t, _ in outputs))]
     return merged, latencies
 

@@ -48,7 +48,7 @@ def _cmd_run(args) -> int:
     engine, results = run_stream(ed, cfg, records)
     for msg in engine.diagnostics:
         print(msg, file=sys.stderr)
-    streams.write_results(results, args.out, mode=mode)
+    streams.write_results(results, args.out)
     total = sum(len(r.reported) for r in results)
     print(f"wrote {total} entries over {len(results)} queries to {args.out}")
     return 0

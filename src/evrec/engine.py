@@ -6,21 +6,27 @@ at or before the window start (Qi - wm), brings the store's point index up to
 the new window, and brings every composite fluent up to date bottom-up by
 stratification level.
 
-Work follows what changed, from a dirty-from time d: the earliest of the time
-just after the last query and the earliest time the input applied at this
-query changes, but not before the window start.  The point index hands a rule
-only the input points at the window start and in [d, Qi], so rules are solved
-only there.  A simple fluent carries each grounding's intervals and
-initiations before d, and rebuilds its chain from d on only for groundings
-with a fresh initiation or termination or one that holds into d; a grounding
-whose state at the window start changed is rebuilt from the window start, from
-the start of an interval crossing it.  A statically determined fluent carries
-its intervals before d, whose part before the window start is the retained
-prefix, and amalgamates them with a fresh result from d.  The first point of
-the window is always evaluated again, because forgetting cuts input intervals
-there.  A rule that reads a derived fluent or event, or input at a time other
-than its head's, reuses nothing and makes its fluent evaluate from the window
-start.
+Work follows what changed, per grounding.  The store records, per input key
+(name, arguments), the earliest time the input applied at this query changes
+it.  A grounding's dirty-from time d is the time just after the last query,
+or the earliest change before that to a key its rules read, but not before the
+window start; a key reaches the groundings whose head variables it binds in
+some input literal of their rules.  The point index hands a rule only the
+input points at the window start and in [d, Qi], so rules are solved only
+there.  A simple fluent solves its initiations from the shared d for all
+groundings, and from their own d over the groundings with an earlier one
+that some rule can still initiate there.  It carries each grounding's
+intervals and initiations before its d, and rebuilds its chain from d on only
+for groundings with a fresh initiation or termination or one that holds into
+d; a grounding whose state at the window start changed is rebuilt from the
+window start, from the start of an interval crossing it.  A statically
+determined fluent carries each grounding's intervals before its d, whose part
+before the window start is the retained prefix, and amalgamates them with a
+fresh result from d.  A derived event takes the earliest d of any grounding.
+The first point of the window is always evaluated again, because forgetting
+cuts input intervals there.  A rule that reads a derived fluent or event, or
+input at a time other than its head's, reuses nothing and makes its fluent
+evaluate from the window start.
 
 Upkeep follows the change too.  The store forgets by popping, from a heap
 ordered by start, only the items the window start passes, and re-cuts the
@@ -191,9 +197,10 @@ class SdeStore:
         self.starts: list[tuple] = []
         self.crossing: set[str] = set()
         self._seq = itertools.count()
-        # the earliest time that content added or removed since the owner last
-        # reset it covers; forgetting does not count
-        self.changed_from = math.inf
+        # input key (name, args) -> the earliest time that content added to or
+        # removed from it since the owner last took this map covers;
+        # forgetting does not count
+        self.changed: dict[tuple, int] = {}
         # The point index, brought up to a window start by `index`.  `content`
         # holds each fluent slot's canonical content, and `times` each event
         # slot's sorted times, as of the slot's last change; what forgetting
@@ -235,8 +242,7 @@ class SdeStore:
     def _added(self, rec_id: str, slot: tuple, item):
         self.by_id[rec_id] = (slot, item)
         heappush(self.starts, (item[0], next(self._seq), slot, item))
-        self._stale.add(slot)
-        self.changed_from = min(self.changed_from, item[0])
+        self._changed(slot, item[0])
 
     def remove(self, rec_id: str) -> bool:
         entry = self.by_id.get(rec_id)
@@ -244,9 +250,14 @@ class SdeStore:
             return False
         slot, item = entry
         self._take(slot, item)
-        self._stale.add(slot)
-        self.changed_from = min(self.changed_from, item[0])
+        self._changed(slot, item[0])
         return True
+
+    def _changed(self, slot: tuple, t: int):
+        self._stale.add(slot)
+        key = slot[:2]
+        if t < self.changed.get(key, math.inf):
+            self.changed[key] = t
 
     def _take(self, slot: tuple, item) -> bool:
         """Delete a stored item, and the keys it leaves without content;
@@ -473,7 +484,7 @@ class _QueryState:
         self.dirty = 0  # the dirty-from time of the rule being evaluated
         self.derived: dict[str, dict] = {}  # name -> args -> value -> intervals
         self.events: dict[str, dict] = {}  # name -> args -> times of a derived event
-        self.live: set[tuple] = set()  # groundings a termination plan runs over
+        self.live: set[tuple] = set()  # groundings a plan over live groundings runs over
         self.indexes: dict[tuple, dict] = {}  # emptied after each solve and scheduled item
 
 
@@ -510,7 +521,12 @@ class Engine:
         self._prev_derived: dict[str, dict] = {}  # prev_cache by name, as state.derived
         self._prev_events: dict[str, dict] = {}  # the last query's state.events
         self._starts: dict[str, dict] = {}  # name -> args -> value -> initiations in window
-        self._dirty = 0  # this query's dirty-from time
+        # the last query's answers hold up to this time; minus infinity makes
+        # the next query evaluate everything from the window start
+        self.answered_to = 0
+        self._d0 = 0  # this query's dirty-from time for what read no earlier change
+        self._late: dict[tuple, int] = {}  # input key -> its change time, if before _d0
+        self._touched: dict[tuple, tuple] = {}  # this query's _dirty_from by reads
         self._cache: dict[tuple, dict] = {}  # (name, args) -> value -> intervals
         self._entries: dict[tuple, tuple] = {}  # (name, args) -> the last _entries_of
         self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
@@ -525,11 +541,30 @@ class Engine:
                 tuples &= pair_filter
             self._grounded[name] = tuples
 
-        self._plans: dict = {kind: {} for kind in (INITIATED, TERMINATED, HOLDS_FOR, HAPPENS)}
+        # "over": each initiation that reuses, solved over the live groundings
+        self._plans: dict = {kind: {} for kind in
+                             (INITIATED, TERMINATED, HOLDS_FOR, HAPPENS, "over")}
+        reach, reads = {}, {name: set() for name in heads}
         for rule in ed.rules:
             plan = self._compile_sd(rule) if rule.kind == HOLDS_FOR else self._compile_point(rule)
-            value = getattr(rule.head, "value", None)
-            self._plans[rule.kind].setdefault(rule.head.name, []).append((value, plan))
+            name, value = rule.head.name, getattr(rule.head, "value", None)
+            self._plans[rule.kind].setdefault(name, []).append((value, plan))
+            if rule.kind == INITIATED and not plan.whole:
+                self._plans["over"].setdefault(name, []).append(
+                    (value, self._compile_point(rule, over_live=True)))
+                reach.setdefault(name, {})[_reach(rule, ed.is_input)] = None
+            for lit in rule.body:
+                if isinstance(lit, (HappensAt, HoldsAt, HoldsFor)) and ed.is_input(
+                        read_by(lit).name):
+                    reads[name].add(_pattern(rule.head.args, read_by(lit)))
+        # name -> the distinct `_reach` of its initiations, with builders
+        self._reach = {name: [[(fluent, value, _builder(parts)) for fluent, value, parts in lits]
+                              for lits in distinct] for name, distinct in reach.items()}
+        # name -> (the input its rules read, as `_pattern`s, and its grounding,
+        # which validate requires of a fluent, or None for an event); names
+        # alike share `_dirty_from`'s answer
+        self._reads = {name: (frozenset(patterns), None if ed.kind_of(name) == "event"
+                              else ed.groundings[name]) for name, patterns in reads.items()}
 
         computes = {"event": Engine._compute_events, "simple": Engine._compute_simple_fluent,
                     "sd": Engine._compute_sd_fluent}
@@ -598,10 +633,11 @@ class Engine:
         self.store.forget(boundary)
         self.store.index(boundary + 1)
         self._ties = {tie for tie in self._ties if tie[2] > boundary}
-        # the last query's answers hold up to its own query time, and up to the
-        # earliest change applied now; before the first query nothing is stored
-        self._dirty = max(boundary + 1, min(qi - self.cfg.step + 1, self.store.changed_from))
-        self.store.changed_from = math.inf
+        # the last query's answers hold up to its own query time, and for a
+        # grounding up to the earliest change applied now to input it reads
+        self._d0 = max(boundary + 1, self.answered_to + 1)
+        self._late = {key: t for key, t in self.store.changed.items() if t < self._d0}
+        self.store.changed, self._touched = {}, {}
 
         state = self._state
         state.qi, state.lo = qi, boundary + 1
@@ -614,28 +650,31 @@ class Engine:
         entries = self._classify(qi)
         reported = select_reported(entries, self.cfg.mode)
         self.prev_cache = self._cache
-        self.next_q = qi + self.cfg.step
+        self.next_q, self.answered_to = qi + self.cfg.step, qi
         return RecognitionResult(qi, entries, reported)
 
     # -- rule plans ----------------------------------------------------------
 
-    def _compile_point(self, rule: Rule) -> _PointPlan:
+    def _compile_point(self, rule: Rule, over_live: bool = False) -> _PointPlan:
         """Compile an initiatedAt, terminatedAt or happensAt rule into a plan
         whose solve() returns its solutions' (head arguments, T) pairs.  Each
         step binds its new variables in a slot list and calls the next step
-        once per match."""
+        once per match.  A termination, and with `over_live` any rule, is
+        solved only over the groundings in state.live."""
         name, head, state = rule.head.name, rule.head.args, self._state
         slots: dict[str, int] = {}
         steps = []
-        if rule.kind == TERMINATED:
+        over_live = over_live or rule.kind == TERMINATED
+        if over_live:
             # a grounding with neither an initiation nor a kept start cannot
-            # hold, so only the live ones need their terminations
+            # hold, so only the live ones need their terminations; an
+            # initiation is solved over given groundings from their own d
             live = lambda: state.live  # noqa: E731
             index = _cached_index(live, ("live", name), state.indexes)
             steps.append(_join(live, head, slots, index))
-        steps += [self._step(lit, slots) for lit in join_order(rule)]
+        steps += [self._step(lit, slots) for lit in join_order(rule, over_live)]
         grounded = self._grounded.get(name, set())
-        check = name in self.ed.groundings and rule.kind != TERMINATED
+        check = name in self.ed.groundings and not over_live
         if any(is_var(a) and a not in slots for a in head):
             # the body leaves head variables free: the rule fires for every
             # grounding that matches the bound part
@@ -808,7 +847,7 @@ class Engine:
 
     def _solve(self, plans: list, dirty: int, live: Optional[set] = None) -> dict:
         """args -> value -> times of the plans' solutions at the window start
-        and from `dirty` on; a termination plan runs over the `live` groundings."""
+        and from `dirty` on; a plan over live groundings runs over `live`."""
         state, out = self._state, {}
         state.dirty, state.live = dirty, live
         for value, plan in plans:
@@ -817,24 +856,53 @@ class Engine:
         state.indexes.clear()  # an index over the live set, or the points from dirty, is this run's
         return out
 
+    def _dirty_from(self, name: str, whole: bool) -> tuple[int, dict]:
+        """(d, touched): the dirty-from time of name's groundings, and args ->
+        an earlier one for each grounding whose rules read an input key
+        changed before d, from that change on.  A rule that reuses nothing
+        makes it the window start for all; for an event the earliest such
+        change is every grounding's."""
+        lo, d0, reads = self._state.lo, self._d0, self._reads[name]
+        if whole or not self._late:
+            return lo if whole else d0, _NONE
+        if reads not in self._touched:
+            (patterns, grounding), floor, touched = reads, d0, {}
+            index_for = _cached_index(lambda: self._grounded[name], grounding, self._domain_indexes)
+            for (read, key), t in self._late.items():
+                for pattern_read, arity, at, shape in patterns:
+                    if pattern_read != read or arity != len(key):
+                        continue
+                    t = max(t, lo)
+                    if grounding is None:
+                        floor = min(floor, t)
+                        continue
+                    for args in index_for(shape)().get(tuple([key[p] for p in at]), ()):
+                        if t < touched.get(args, d0):
+                            touched[args] = t
+            self._touched[reads] = floor, touched
+        return self._touched[reads]
+
     def _compute_simple_fluent(self, name: str):
-        """A grounding's intervals and initiations before the dirty-from time d
-        carry over, and its chain is rebuilt from d on: from whether it holds or
-        is initiated at d-1, and its initiations and terminations from d.  A
-        grounding for which the window start changes whether it holds there, or
-        whether it holds or is initiated there, is rebuilt from the window start
-        instead, with the start of an interval crossing it kept.  A rule that
-        reuses nothing makes every grounding rebuild from the window start."""
+        """Each grounding has its own dirty-from time d (`_dirty_from`).  Its
+        intervals and initiations before d carry over, and its chain is
+        rebuilt from d on: from whether it holds or is initiated at d-1, and its
+        initiations and terminations from d.  A grounding for which the window
+        start changes whether it holds there, or whether it holds or is
+        initiated there, is rebuilt from the window start instead, with the
+        start of an interval crossing it kept."""
         state = self._state
         lo, qi = state.lo, state.qi
         inits, terms = self._plans[INITIATED].get(name, []), self._plans[TERMINATED].get(name, [])
-        dirty = lo if any(plan.whole for _v, plan in inits + terms) else self._dirty
-        fresh = self._solve(inits, dirty)
+        floor, touched = self._dirty_from(name, any(plan.whole for _v, plan in inits + terms))
+        fresh = self._solve(inits, floor)
+        if touched:
+            self._initiated_since(name, touched, fresh)
         self._break_ties(name, fresh)
         last, last_starts = self._prev_derived.get(name, _NONE), self._starts.get(name, _NONE)
         starts, chains, live = {}, [], set()
         for args in last.keys() | last_starts.keys() | fresh.keys():
             old, ivs, st = last_starts.get(args, _NONE), last.get(args, _NONE), {}
+            dirty = touched.get(args, floor)
             if args not in fresh and all(
                     lo < ts[0] and ts[-1] < dirty - 1 for ts in old.values()) and all(
                     lo < il[0][0] and il[-1][1] is not OPEN and il[-1][1] < dirty
@@ -866,10 +934,15 @@ class Engine:
                 chain[value] = (ilist, ts, part, pending, held, kept, lo in old.get(value, ()))
             if st:
                 starts[args] = st
-            chains.append((args, st, chain))
+            chains.append((args, dirty, st, chain))
         self._starts[name] = starts
-        ended, rebuilt = self._solve(terms, dirty, live), []
-        for args, st, chain in chains:
+        # terminations from d for the live groundings, and from the least d
+        # of those with an earlier one
+        early = {args for args in live if args in touched} if touched else ()
+        ended, rebuilt = self._solve(terms, floor, live.difference(early) if early else live), []
+        if early:
+            ended.update(self._solve(terms, min(touched[args] for args in early), early))
+        for args, dirty, st, chain in chains:
             ends = ended.get(args, _NONE)
             for value, (_il, ts, _part, _pe, held, kept, was_initiated) in chain.items():
                 broken = lo in ends.get(value, ()) or any(
@@ -885,6 +958,31 @@ class Engine:
             ended.update(self._solve(terms, lo, {args for args, _st, _chain in rebuilt}))
             for args, st, chain in rebuilt:
                 self._settle(name, args, st, chain, lo, ended)
+
+    def _initiated_since(self, name: str, touched: dict, fresh: dict):
+        """Add to `fresh` each touched grounding's initiations from its own
+        dirty-from time on.  The rules are solved over the touched groundings
+        for which some rule has content reaching that time in each of its
+        input literals over exactly the head's variables (`_reach`)."""
+        content, cut = self._state.store.content, {}
+        for args, d in touched.items():
+            for reach in self._reach.get(name, ()):
+                for fluent, value, key in reach:
+                    ilist = content.get(fluent, _NONE).get(key(args), _NONE).get(value)
+                    if not ilist or ilist[-1][1] is not OPEN and ilist[-1][1] < d:
+                        break
+                else:
+                    cut[args] = d
+                    break
+        if not cut:
+            return
+        found = self._solve(self._plans["over"][name], min(cut.values()), cut)
+        for args, per_value in found.items():
+            d = cut[args]
+            for value, ts in per_value.items():
+                ts = {t for t in ts if t >= d}
+                if ts:
+                    fresh.setdefault(args, {}).setdefault(value, set()).update(ts)
 
     def _settle(self, name: str, args: tuple, st: dict, chain: dict, since: int, ended: dict):
         """Set a grounding's intervals: the carried ones before `since`, then
@@ -939,18 +1037,20 @@ class Engine:
         state, plans = self._state, self._plans[HOLDS_FOR].get(name, [])
         # the rules of one fluent share its result, so one reading a derived
         # fluent makes them all reuse nothing
-        dirty = state.lo if any(plan[3] for _value, plan in plans) else self._dirty
+        floor, touched = self._dirty_from(name, any(plan[3] for _value, plan in plans))
         per_args: dict[tuple, dict] = {}
         for value, (sources, fits, evaluate, _derived) in plans:
-            for args in self._sd_groundings(name, sources, fits, dirty):
+            for args, dirty in self._sd_groundings(name, sources, fits, floor, touched):
                 fresh = evaluate(args, dirty)
                 if fresh is not None:
                     slot = per_args.setdefault(args, {})
                     slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
-        # the last query's result before the dirty-from time carries over; its
-        # part at or before the window start is the retained prefix
+        # the last query's result before each grounding's dirty-from time
+        # carries over; its part at or before the window start is the retained
+        # prefix
         carried: dict[tuple, dict] = {}
         for args, per_value in self._prev_derived.get(name, {}).items():
+            dirty = touched.get(args, floor)
             for value, ilist in per_value.items():
                 part = _carried(ilist, state.lo, dirty)
                 if part:
@@ -964,27 +1064,30 @@ class Engine:
             if result:
                 self._slot(name, args).update(result)
 
-    def _sd_groundings(self, name: str, sources: list, fits: Callable, dirty: int) -> list[tuple]:
-        """Groundings from the keys of the sparsest source with content from
-        the dirty-from time on, else all."""
+    def _sd_groundings(self, name: str, sources: list, fits: Callable, floor: int,
+                       touched: dict) -> list[tuple]:
+        """(args, dirty-from time) of the groundings from the keys of the
+        sparsest source with content from their dirty-from time on, else of
+        all."""
         grounded = self._grounded.get(name, set())
         if not sources:
-            return [args for args in grounded if fits(args)]
+            return [(args, touched.get(args, floor)) for args in grounded if fits(args)]
         rows, intervals, arity, to_head, to_key = min(sources, key=lambda src: len(src[0]()))
         out = []
         for key in rows():
             if len(key) == arity:
                 args = to_head(key)
                 if args in grounded and to_key(args) == key:
-                    ilist = intervals(key)
+                    ilist, dirty = intervals(key), touched.get(args, floor)
                     if ilist and (ilist[-1][1] is OPEN or ilist[-1][1] > dirty):
-                        out.append(args)
+                        out.append((args, dirty))
         return out
 
     def _compute_events(self, name: str):
-        """The last query's occurrences before the dirty-from time carry over."""
+        """The last query's occurrences before the dirty-from time carry over;
+        it is the earliest of any grounding's."""
         state, plans = self._state, self._plans[HAPPENS].get(name, [])
-        dirty = state.lo if any(plan.whole for _v, plan in plans) else self._dirty
+        dirty, _touched = self._dirty_from(name, any(plan.whole for _v, plan in plans))
         occurrences = {args: {t for t in ts if state.lo < t < dirty}
                        for args, ts in self._prev_events.get(name, _NONE).items()}
         for args, per_value in self._solve(plans, dirty).items():
@@ -1122,6 +1225,30 @@ def _split(terms: tuple, slots: dict) -> tuple[list, list, list]:
             seen[term] = pos
     binds = [(pos, slots.setdefault(term, len(slots))) for term, pos in seen.items()]
     return key, binds, same
+
+
+def _reach(rule: Rule, is_input: Callable) -> tuple:
+    """(input fluent, value, `_builder` parts of its arguments over a head
+    grounding) of each body literal of a point rule over exactly the head's
+    variables: a grounding whose content there ends before a time has no
+    solution from that time on."""
+    head = {t: pos for pos, t in reversed(list(enumerate(rule.head.args))) if is_var(t)}
+    return tuple((fv.name, fv.value, tuple((head.get(t), t) for t in fv.args))
+                 for fv in [read_by(lit) for lit in rule.body if not isinstance(lit, Comparison)]
+                 if isinstance(fv, FluentValue) and is_input(fv.name)
+                 and {t for t in fv.args if is_var(t)} == head.keys())
+
+
+def _pattern(head: tuple, read) -> tuple:
+    """(name, arity, positions, shape) of an input literal that reads `read`
+    in a rule headed by `head`: an input key of that name and arity binds the
+    head positions in shape (arity, positions) to its values at `positions`.
+    Constants and repeated variables are not matched, which only widens the
+    groundings a key reaches."""
+    at = {t: pos for pos, t in reversed(list(enumerate(read.args))) if is_var(t)}
+    bound = [(i, at[t]) for i, t in enumerate(head) if t in at]
+    return (read.name, len(read.args), tuple(p for _i, p in bound),
+            (len(head), tuple(i for i, _p in bound)))
 
 
 def _compare(op: str, left, right) -> bool:

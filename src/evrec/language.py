@@ -792,14 +792,16 @@ def terms_of(lit) -> tuple[Term, ...]:
     return read_by(lit).args
 
 
-def join_order(rule: Rule) -> list[Literal]:
+def join_order(rule: Rule, head_bound: bool = False) -> list[Literal]:
     """The body literals of a point rule in evaluation order, as far as
-    bindings reach; the head's variables start bound in a terminatedAt rule.
+    bindings reach; the head's variables start bound in a terminatedAt rule,
+    and with `head_bound` in any.
     Of the literals whose inputs are bound (a holdsAt's time, all of a
     comparison's arguments), the next is the one binding the fewest new
     variables, then the one with the most bound arguments, then the first
     written.  A literal left out is one that no binding reaches."""
-    bound = {a for a in rule.head.args if is_var(a)} if rule.kind == TERMINATED else set()
+    head_bound = head_bound or rule.kind == TERMINATED
+    bound = {a for a in rule.head.args if is_var(a)} if head_bound else set()
     pending, order = list(rule.body), []
     while pending:
         ready = []

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .engine import RecognitionResult, ResultEntry, record_occurrence, select_reported
+from .engine import RecognitionResult, ResultEntry, record_occurrence
 from .language import EventDescription
 
 
@@ -432,12 +432,12 @@ def entry_to_json(entry: ResultEntry, q: int) -> dict:
     }
 
 
-def write_results(results: Iterable[RecognitionResult], path, mode: str = "asap"):
-    """Emit recognised intervals as JSONL, filtered by reporting mode, in the
-    engine's order: query time, then fluent name, arguments and start."""
+def write_results(results: Iterable[RecognitionResult], path):
+    """Emit each result's reported entries as JSONL, in the engine's order:
+    query time, then name, arguments, value as text and start."""
     with open(path, "w", encoding="utf-8") as fh:
         for res in results:
-            for entry in select_reported(res.entries, mode):
+            for entry in res.reported:
                 fh.write(json.dumps(entry_to_json(entry, res.q)) + "\n")
 
 

@@ -170,6 +170,21 @@ def test_bench_functions_reject_fewer_than_one_shard():
         bench.benchmark(ed, [], [10], 10, shards=-1)
 
 
+def test_sharded_runs_report_what_one_shard_reports_in_each_mode(tmp_path):
+    stream = tmp_path / "s.jsonl"
+    streams.write_stream(generator.generate(generator.GenSpec(entities=4, duration=300, seed=1)),
+                         stream)
+    ed, records = cli._prepare(RULES, str(stream), 25.0)
+    for mode in ("asap", "partial_stable", "final"):
+        cfg = EngineConfig(wm=50, step=25, mode=mode)
+        one, _ = bench.run_sharded(ed, cfg, records, 1)
+        two, _ = bench.run_sharded(ed, cfg, records, 2)
+        assert [r.reported for r in two] == [r.reported for r in one], mode
+        assert {e.stability for r in two for e in r.reported} <= {
+            "asap": {"open", "partial", "final"}, "partial_stable": {"partial", "final"},
+            "final": {"final"}}[mode]
+
+
 # one malformed record per kind of field check in streams.parse_record
 BAD_RECORDS = {
     "args": '{"id": "e1", "kind": "event", "name": "appear", "args": [["p1"]], "t": 5}',

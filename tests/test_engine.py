@@ -461,7 +461,7 @@ def test_a_rule_reading_a_second_time_reuses_nothing():
     for qi in (10, 20, 30, 40):
         for eng in (reusing, scratch):
             eng.ingest([r for r in recs if qi - 10 < r.t <= qi])
-        scratch.store.changed_from = -math.inf
+        scratch.answered_to = -math.inf
         got = reusing.query(qi).entries
         assert got == scratch.query(qi).entries, f"query {qi}"
     assert {(e.name, e.start, e.end) for e in got} == {("f", 26, OPEN), ("g", 16, OPEN)}
@@ -549,7 +549,7 @@ ENTITIES = ("p1", "p2", "obj1")
 HORIZON = 120
 
 
-def random_stream(rng, max_delay, retract_share):
+def random_stream(rng, max_delay, retract_share, entities=ENTITIES):
     """Random input over the whole vocabulary of the pack.  Each record
     arrives up to `max_delay` ticks after it occurs, and a share of them is
     retracted, also up to `max_delay` ticks after arriving."""
@@ -561,13 +561,13 @@ def random_stream(rng, max_delay, retract_share):
             s = rng.randrange(HORIZON - 1)
             yield s, (None if rng.random() < 0.1 else min(HORIZON, s + rng.randrange(1, 40)))
 
-    for p in ENTITIES:
+    for p in entities:
         for name in ("walking", "running", "active", "inactive", "abrupt"):
             recs += [fl(next(ids), name, (p,), s, e) for s, e in spans(2)]
         for name in ("appear", "disappear"):
             if rng.random() < 0.5:
                 recs.append(ev(next(ids), name, (p,), rng.randrange(HORIZON)))
-        for q in ENTITIES:
+        for q in entities:
             if q != p and rng.random() < 0.6:
                 recs += [fl(next(ids), "close", (p, q), s, e) for s, e in spans(2)]
     out = []
@@ -612,20 +612,26 @@ def test_body_literal_order_does_not_change_entries(window):
     assert [r.entries for r in got] == [r.entries for r in want]
 
 
-def replay_against_the_oracle(engine, recs, last_q, shard=None, check_index=False) -> list:
+def replay_against_the_oracle(engine, recs, last_q, shard=None, check_index=False,
+                              scratch=None) -> list:
     """Query the engine every step up to last_q, each record ingested at its
     arrival (its occurrence when it has none), and check every answer against
-    the pointwise evaluation of the store from scratch, and with check_index
-    the point index against the store.  Returns the results."""
+    the pointwise evaluation of the store from scratch, with check_index the
+    point index against the store, and with a `scratch` engine against its
+    answer evaluated from the window start.  Returns the results."""
     step, wm = engine.cfg.step, engine.cfg.wm
     recs = sorted(recs, key=record_arrival)
     results, idx = [], 0
     for qi in range(step, last_q + 1, step):
         while idx < len(recs) and record_arrival(recs[idx]) <= qi:
-            engine.ingest([recs[idx]])
+            for eng in (engine, scratch) if scratch else (engine,):
+                eng.ingest([recs[idx]])
             idx += 1
         seeds = reference.boundary_seeds(engine, qi - wm)
         res = engine.query(qi)
+        if scratch:
+            scratch.answered_to = -math.inf
+            assert res.entries == scratch.query(qi).entries, f"query {qi} from scratch"
         if check_index:
             assert_index_matches_store(engine.store, qi - wm + 1, step, qi)
         events, durative = engine.store.snapshot()
@@ -670,6 +676,45 @@ def test_incremental_windows_match_the_pointwise_oracle(seed, step, steps_per_wi
     engine = Engine(surveillance(*ENTITIES), EngineConfig(wm=wm, step=step))
     last_q = step * math.ceil((max(r.arrival for r in recs) + HORIZON + wm) / step)
     replay_against_the_oracle(engine, recs, last_q)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(3, 8), st.integers(1, 2))
+def test_per_grounding_dirty_times_match_scratch_and_the_oracle(seed, step, steps_per_window,
+                                                                  late):
+    # four entities in order but for one or two, whose records arrive late and
+    # are retracted or updated up to wm - step ticks back: only the groundings
+    # that read them are evaluated from before the time after the last query
+    rng = random.Random(seed)
+    wm = step * steps_per_window
+    entities = ("p1", "p2", "p3", "obj1")
+    touched = set(rng.sample(entities, late))
+    recs = random_stream(rng, 0, 0, entities)
+    recs = [r for r in recs if not touched & set(r.args)] + delayed(
+        [r for r in recs if touched & set(r.args)], rng, wm - step, 0.3)
+    ed, cfg = surveillance(*entities), EngineConfig(wm=wm, step=step)
+    last_q = step * math.ceil((max(map(record_arrival, recs)) + HORIZON + wm) / step)
+    replay_against_the_oracle(Engine(ed, cfg), recs, last_q, scratch=Engine(ed, cfg))
+
+
+def test_a_late_record_reevaluates_only_the_groundings_that_read_it():
+    # walking(p1) resumes at 24, announced only at q=40, whose window starts at
+    # 1 and whose dirty-from time is 31: the pairs with p1 are evaluated from
+    # 24, the others from 31, and the answer is the one from scratch
+    ed, cfg = surveillance("p1", "p2", "p3"), EngineConfig(wm=40, step=10)
+    recs = [fl(1, "walking", ("p1",), 5, 20), fl(2, "walking", ("p2",), 5, 200),
+            fl(3, "walking", ("p3",), 8, 200), fl(4, "walking", ("p1",), 24, 200, arrival=40)]
+    recs += [fl(5 + k, "close", pair, 12, 200) for k, pair in enumerate(
+        itertools.permutations(("p1", "p2", "p3"), 2))]
+    engine = Engine(ed, cfg)
+    results = replay_against_the_oracle(engine, recs, 40, scratch=Engine(ed, cfg))
+    p1 = {("p1", "p2"): 24, ("p2", "p1"): 24, ("p1", "p3"): 24, ("p3", "p1"): 24}
+    for name in ("moving", "moving_sd"):
+        assert engine._dirty_from(name, False) == (31, p1)
+    moving = {(e.name, e.args, e.start, e.end) for e in results[-1].entries
+              if e.name == "moving" and "p2" in e.args}
+    assert moving == {("moving", ("p1", "p2"), 13, 20), ("moving", ("p2", "p1"), 13, 20),
+                      ("moving", ("p1", "p2"), 25, None), ("moving", ("p2", "p1"), 25, None),
+                      ("moving", ("p2", "p3"), 13, None), ("moving", ("p3", "p2"), 13, None)}
 
 
 # what the surveillance pack lacks: a multi-valued fluent, a derived event
@@ -782,7 +827,7 @@ def test_reused_answers_equal_the_from_scratch_ones(seed, step, steps_per_window
             reusing.ingest([recs[idx]])
             scratch.ingest([recs[idx]])
             idx += 1
-        scratch.store.changed_from = -math.inf
+        scratch.answered_to = -math.inf
         assert reusing.query(qi).entries == scratch.query(qi).entries, f"query {qi}"
         assert reusing.diagnostics == scratch.diagnostics
 

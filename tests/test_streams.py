@@ -288,7 +288,7 @@ def test_write_results_schema(tmp_path):
     entry = ResultEntry("moving", ("p1", "p2"), "true", 4, None, "open")
     res = RecognitionResult(40, [entry], [entry])
     path = tmp_path / "out.jsonl"
-    streams.write_results([res], path, mode="asap")
+    streams.write_results([res], path)
     obj = json.loads(path.read_text().strip())
     assert obj == {
         "name": "moving", "args": ["p1", "p2"], "value": "true",
