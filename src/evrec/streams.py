@@ -347,7 +347,8 @@ def _close_hits(samples: Iterable, threshold: float) -> tuple[dict, np.ndarray, 
         i, j = _neighbours(t[lo:hi], np.floor(xy[lo:hi] / side).astype(np.int64))
         keep = ent[i + lo] < ent[j + lo]
         i, j = i[keep] + lo, j[keep] + lo
-        near = np.linalg.norm(xy[i] - xy[j], axis=1) <= threshold
+        d = xy[i] - xy[j]
+        near = np.hypot(d[:, 0], d[:, 1]) <= threshold  # no underflow of d**2
         i, j = i[near], j[near]
         keys.append(ent[i] * len(codes) + ent[j])
         ticks.append(t[i])

@@ -369,7 +369,8 @@ def pairwise_closeness(samples, pairs, threshold: float, id_prefix: str = "close
             tb, xb = arrays[b]
             common, ia, ib = np.intersect1d(ta, tb, return_indices=True)
             if common.size:
-                dist = np.linalg.norm(xa[ia] - xb[ib], axis=1)
+                d = xa[ia] - xb[ib]
+                dist = np.hypot(d[:, 0], d[:, 1])
                 close_ts = common[dist <= threshold]
                 if close_ts.size:
                     gaps = np.where(np.diff(close_ts) > 1)[0]

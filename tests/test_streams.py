@@ -241,12 +241,20 @@ BELOW_ZERO = math.nextafter(0.0, -math.inf)
 # across a cell corner, each way round, and an entity paired with itself
 @example(([("a", 1, 0.1, -0.1), ("b", 1, -0.1, 0.1), ("c", 1, -0.1, -0.1), ("d", 1, 0.1, 0.1)],
           [("a", "b"), ("c", "d"), ("a", "a")], 1.0), 8192)
+# twice a tiny threshold apart, where the squared distance underflows to 0
+@example(([("a", 0, 0.0, 0.0), ("b", 0, 0.0, 5.3e-272)], [("a", "b")], 2.65e-272), 1)
 def test_closeness_equals_the_pairwise_reference(case, block):
     samples, pairs, threshold = case
     expected = reference.pairwise_closeness(samples, [(a, b) for a, b in pairs if a != b], threshold)
     # a block of a few samples still holds whole ticks
     with mock.patch.object(streams, "_JOIN_BLOCK", block):
         assert streams.closeness(samples, pairs, threshold) == expected
+
+
+def test_closeness_measures_tiny_distances_without_underflow():
+    samples = [("a", 0, 0.0, 0.0), ("b", 0, 0.0, 5.3e-272), ("c", 0, 4e-272, 0.0)]
+    got = streams.closeness(samples, [("a", "b"), ("a", "c")], 4.5e-272)
+    assert [r.args for r in got] == [("a", "c")]
 
 
 def test_closeness_takes_coordinates_far_beyond_the_threshold():
