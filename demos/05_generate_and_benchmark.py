@@ -16,11 +16,7 @@ print(f"generated {len(raw)} records "
 
 text = (res.files("evrec") / "rules" / "surveillance.rtec").read_text()
 ed, _ = language.load(text)
-ed = streams.fill_auto_domains(ed, raw)
-
-coords = [r for r in raw if r.kind == "coord"]
-recs = [r for r in raw if r.kind != "coord"]
-recs += streams.closeness(coords, bench.all_pairs(ed), 25.0)
+ed, recs = streams.engine_input(ed, raw, 25.0)
 
 reports = bench.benchmark(ed, recs, wms=[100, 200, 400], step=50)
 for rep in reports:

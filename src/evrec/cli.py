@@ -30,15 +30,7 @@ def _prepare(rules_path: str, input_path: str, close_threshold: float):
     doc = streams.read_stream(input_path)
     for msg in doc.diagnostics:
         print(msg, file=sys.stderr)
-    # a coordinate sample, with every update or retract of its id, is closeness input
-    coord_ids = {r.id for r in doc.records if r.kind == "coord"}
-    records = [r for r in doc.records if r.id not in coord_ids]
-    coords = [r for r in doc.records if r.id in coord_ids]
-    ed = streams.fill_auto_domains(ed, doc.records)
-    if coords:
-        pairs = bench_mod.all_pairs(ed)
-        records.extend(streams.closeness(coords, pairs, close_threshold))
-    return ed, records
+    return streams.engine_input(ed, doc.records, close_threshold)
 
 
 def _cmd_run(args) -> int:

@@ -14,19 +14,20 @@ window start; a key reaches the groundings whose head variables it binds in
 some input literal of their rules.  The point index hands a rule only the
 input points at the window start and in [d, Qi], so rules are solved only
 there.  A simple fluent solves its initiations from the shared d for all
-groundings, and from their own d over the groundings with an earlier one
-that some rule can still initiate there.  It carries each grounding's
-intervals and initiations before its d, and rebuilds its chain from d on only
-for groundings with a fresh initiation or termination or one that holds into
-d; a grounding whose state at the window start changed is rebuilt from the
-window start, from the start of an interval crossing it.  A statically
-determined fluent carries each grounding's intervals before its d, whose part
-before the window start is the retained prefix, and amalgamates them with a
-fresh result from d.  A derived event takes the earliest d of any grounding.
-The first point of the window is always evaluated again, because forgetting
-cuts input intervals there.  A rule that reads a derived fluent or event, or
-input at a time other than its head's, reuses nothing and makes its fluent
-evaluate from the window start.
+groundings, and once more over the groundings with an earlier d that some
+rule can still initiate there, each from its own d, which the solve binds
+with the grounding.  It carries each grounding's intervals and initiations
+before its d, and rebuilds its chain from d on only for groundings with a
+fresh initiation or termination or one that holds into d; a grounding whose
+state at the window start changed is rebuilt from the window start, from the
+start of an interval crossing it.  A statically determined fluent carries
+each grounding's intervals before its d, whose part before the window start
+is the retained prefix, and amalgamates them with a fresh result from d.  A
+derived event takes the earliest d of any grounding.  The first point of the
+window is always evaluated again, because forgetting cuts input intervals
+there.  A rule that reads a derived fluent or event, or input at a time other
+than its head's, reuses nothing and makes its name evaluate from the window
+start; `Engine.__init__` decides this once per name.
 
 Upkeep follows the change too.  The store forgets by popping, from a heap
 ordered by start, only the items the window start passes, and re-cuts the
@@ -43,8 +44,8 @@ bound before it.  The plans rely on validate's checks and repeat none of
 them; only an ordering comparison on non-integer values, which depends on
 the data, fails at query time.  Terminations are evaluated only for
 groundings that hold into the part being rebuilt or have an initiation there,
-and a holdsFor rule only for the groundings drawn from its sparsest required
-input (see README.md).
+each from its own dirty-from time in one solve, and a holdsFor rule only for
+the groundings drawn from its sparsest required input (see README.md).
 
 One engine instance is single-threaded; scale-out is by running independent
 instances over disjoint groundings, each fed the complete stream.
@@ -134,8 +135,6 @@ class RecognitionResult:
 
 def select_reported(entries: Iterable[ResultEntry], mode: str) -> list[ResultEntry]:
     """The entries a reporting mode emits, in their given order."""
-    if mode not in _REPORTED:
-        raise ConfigError(f"mode must be one of {MODES}")
     return [e for e in entries if e.stability in _REPORTED[mode]]
 
 
@@ -481,21 +480,11 @@ class _QueryState:
 
     def __init__(self, store: SdeStore):
         self.store, self.qi, self.lo = store, 0, 0
-        self.dirty = 0  # the dirty-from time of the rule being evaluated
+        self.dirty = 0  # the least dirty-from time of the solve running
         self.derived: dict[str, dict] = {}  # name -> args -> value -> intervals
         self.events: dict[str, dict] = {}  # name -> args -> times of a derived event
-        self.live: set[tuple] = set()  # groundings a plan over live groundings runs over
+        self.live: dict[tuple, int] = {}  # grounding -> its d, for plans over live groundings
         self.indexes: dict[tuple, dict] = {}  # emptied after each solve and scheduled item
-
-
-class _PointPlan:
-    """A compiled initiatedAt, terminatedAt or happensAt rule."""
-
-    def __init__(self, solve: Callable[[], list], whole: bool):
-        self.solve = solve  # (head arguments, T), T at the window start or from state.dirty
-        # reuses nothing: reads a derived fluent or event, or input at a time
-        # other than the head's, which a change after the solution's may move
-        self.whole = whole
 
 
 class Engine:
@@ -517,8 +506,7 @@ class Engine:
         self.diagnostics: list[str] = []
         self._ties: set[tuple] = set()  # (name, args, t) of initiation ties reported
         self.next_q = cfg.step
-        self.prev_cache: dict[tuple, dict] = {}
-        self._prev_derived: dict[str, dict] = {}  # prev_cache by name, as state.derived
+        self._prev_derived: dict[str, dict] = {}  # the last query's state.derived
         self._prev_events: dict[str, dict] = {}  # the last query's state.events
         self._starts: dict[str, dict] = {}  # name -> args -> value -> initiations in window
         # the last query's answers hold up to this time; minus infinity makes
@@ -527,9 +515,8 @@ class Engine:
         self._d0 = 0  # this query's dirty-from time for what read no earlier change
         self._late: dict[tuple, int] = {}  # input key -> its change time, if before _d0
         self._touched: dict[tuple, tuple] = {}  # this query's _dirty_from by reads
-        self._cache: dict[tuple, dict] = {}  # (name, args) -> value -> intervals
         self._entries: dict[tuple, tuple] = {}  # (name, args) -> the last _entries_of
-        self._state = _QueryState(self.store)  # its derived dicts are _cache's by name
+        self._state = _QueryState(self.store)
         self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
 
         heads = {r.head.name for r in ed.rules}
@@ -544,12 +531,15 @@ class Engine:
         # "over": each initiation that reuses, solved over the live groundings
         self._plans: dict = {kind: {} for kind in
                              (INITIATED, TERMINATED, HOLDS_FOR, HAPPENS, "over")}
-        reach, reads = {}, {name: set() for name in heads}
+        whole = {rule.head.name for rule in ed.rules if _reuses_nothing(rule, ed.is_input)}
+        reach, reads = {}, {name: set() for name in heads - whole}
         for rule in ed.rules:
             plan = self._compile_sd(rule) if rule.kind == HOLDS_FOR else self._compile_point(rule)
             name, value = rule.head.name, getattr(rule.head, "value", None)
             self._plans[rule.kind].setdefault(name, []).append((value, plan))
-            if rule.kind == INITIATED and not plan.whole:
+            if name in whole:
+                continue
+            if rule.kind == INITIATED:
                 self._plans["over"].setdefault(name, []).append(
                     (value, self._compile_point(rule, over_live=True)))
                 reach.setdefault(name, {})[_reach(rule, ed.is_input)] = None
@@ -561,10 +551,11 @@ class Engine:
         self._reach = {name: [[(fluent, value, _builder(parts)) for fluent, value, parts in lits]
                               for lits in distinct] for name, distinct in reach.items()}
         # name -> (the input its rules read, as `_pattern`s, and its grounding,
-        # which validate requires of a fluent, or None for an event); names
-        # alike share `_dirty_from`'s answer
-        self._reads = {name: (frozenset(patterns), None if ed.kind_of(name) == "event"
-                              else ed.groundings[name]) for name, patterns in reads.items()}
+        # which validate requires of a fluent, or None for an event), or None
+        # if it reuses nothing; names alike share `_dirty_from`'s answer
+        self._reads = {name: (frozenset(reads[name]), None if ed.kind_of(name) == "event"
+                              else ed.groundings[name]) if name in reads else None
+                       for name in heads}
 
         computes = {"event": Engine._compute_events, "simple": Engine._compute_simple_fluent,
                     "sd": Engine._compute_sd_fluent}
@@ -642,27 +633,33 @@ class Engine:
         state = self._state
         state.qi, state.lo = qi, boundary + 1
         self._prev_derived, self._prev_events = state.derived, state.events
-        self._cache, state.derived, state.events = {}, {}, {}
+        state.derived, state.events = {}, {}
         for name, compute in self._schedule:
             compute(self, name)
             state.indexes.clear()  # later items may read what this one wrote
 
         entries = self._classify(qi)
         reported = select_reported(entries, self.cfg.mode)
-        self.prev_cache = self._cache
         self.next_q, self.answered_to = qi + self.cfg.step, qi
         return RecognitionResult(qi, entries, reported)
 
+    @property
+    def prev_cache(self) -> dict[tuple, dict]:
+        """(name, args) -> value -> intervals of the last query's answers."""
+        return {key: was[0] for key, was in self._entries.items()}
+
     # -- rule plans ----------------------------------------------------------
 
-    def _compile_point(self, rule: Rule, over_live: bool = False) -> _PointPlan:
-        """Compile an initiatedAt, terminatedAt or happensAt rule into a plan
-        whose solve() returns its solutions' (head arguments, T) pairs.  Each
+    def _compile_point(self, rule: Rule, over_live: bool = False) -> Callable[[], list]:
+        """Compile an initiatedAt, terminatedAt or happensAt rule into a plan:
+        a function that returns its solutions' (head arguments, T) pairs.  Each
         step binds its new variables in a slot list and calls the next step
-        once per match.  A termination, and with `over_live` any rule, is
-        solved only over the groundings in state.live."""
+        once per match.  Slot 0 holds the dirty-from time that a happensAt
+        step with its time unbound reads: state.dirty, or over live
+        groundings each one's own.  A termination, and with `over_live` any
+        rule, is solved only over the groundings in state.live."""
         name, head, state = rule.head.name, rule.head.args, self._state
-        slots: dict[str, int] = {}
+        slots: dict = {None: 0}
         steps = []
         over_live = over_live or rule.kind == TERMINATED
         if over_live:
@@ -670,8 +667,16 @@ class Engine:
             # hold, so only the live ones need their terminations; an
             # initiation is solved over given groundings from their own d
             live = lambda: state.live  # noqa: E731
-            index = _cached_index(live, ("live", name), state.indexes)
-            steps.append(_join(live, head, slots, index))
+            join = _join(live, head, slots, _cached_index(live, ("live", name), state.indexes))
+
+            def own_time(nxt):
+                def expand(env, args):
+                    env[0] = state.live[args]
+                    nxt(env)
+
+                return join(nxt, expand)
+
+            steps.append(own_time)
         steps += [self._step(lit, slots) for lit in join_order(rule, over_live)]
         grounded = self._grounded.get(name, set())
         check = name in self.ed.groundings and not over_live
@@ -695,13 +700,11 @@ class Engine:
             step = make(step)
 
         def solve() -> list:
-            env = [None] * out + [[]]
+            env = [state.dirty, *[None] * (out - 1), []]
             step(env)
             return env[out]
 
-        other_time = any(lit.time != rule.head_var
-                         for lit in rule.body if isinstance(lit, (HappensAt, HoldsAt)))
-        return _PointPlan(solve, other_time or self._reads_derived(rule))
+        return solve
 
     def _step(self, lit, slots: dict) -> Callable:
         """Compile one body literal, given the variables bound before it, into
@@ -738,8 +741,10 @@ class Engine:
         def make(nxt):
             def expand(env, args):
                 # with the time bound, only check that the event happens then;
-                # else take the window start and the times from the dirty one on
-                first, lo, hi = (env[tslot],) * 3 if bound else (state.lo, state.dirty, state.qi)
+                # else take the window start and the times from slot 0's on,
+                # the window start too for a rule reading input at a time
+                # other than its head's (`_reuses_nothing`)
+                first, lo, hi = (env[tslot],) * 3 if bound else (state.lo, env[0], state.qi)
                 for t in points(args):
                     if t == first or lo <= t <= hi:
                         env[tslot] = t
@@ -781,12 +786,11 @@ class Engine:
                 _cached_index(rows, name, state.indexes))
 
     def _compile_sd(self, rule: Rule) -> tuple:
-        """Compile a holdsFor rule into (sources, fits, evaluate, derived):
+        """Compile a holdsFor rule into (sources, fits, evaluate):
         evaluate maps a head grounding and a time to the body's intervals from
         that time on (None if a required conjunct is empty there).  A source
         (rows, intervals, arity, to_head, to_key) is a required input whose
-        variables are the head's.  derived tells whether the rule reads a
-        derived fluent."""
+        variables are the head's."""
         head, state = rule.head.args, self._state
         first = {t: pos for pos, t in reversed(list(enumerate(head))) if is_var(t)}
 
@@ -830,41 +834,36 @@ class Engine:
 
         canon = over_head(head)
         fits = lambda args: len(args) == len(head) and canon(args) == args  # noqa: E731
-        return sources, fits, evaluate, self._reads_derived(rule)
-
-    def _reads_derived(self, rule: Rule) -> bool:
-        """Whether the body reads a derived fluent or event, whose answers may
-        change anywhere in the window."""
-        return any(not self.ed.is_input(read_by(lit).name)
-                   for lit in rule.body if isinstance(lit, (HappensAt, HoldsAt, HoldsFor)))
+        return sources, fits, evaluate
 
     # -- evaluation ----------------------------------------------------------
 
-    def _slot(self, name: str, args: tuple) -> dict:
-        """This query's value -> intervals dict of one grounding."""
-        slot = self._cache.setdefault((name, args), {})
-        return self._state.derived.setdefault(name, {}).setdefault(args, slot)
-
-    def _solve(self, plans: list, dirty: int, live: Optional[set] = None) -> dict:
-        """args -> value -> times of the plans' solutions at the window start
-        and from `dirty` on; a plan over live groundings runs over `live`."""
-        state, out = self._state, {}
-        state.dirty, state.live = dirty, live
+    def _solve(self, plans: list, since, out: Optional[dict] = None) -> dict:
+        """Add to `out`, or a new dict, args -> value -> times of the plans'
+        solutions at the window start and from `since` on: one time for all
+        groundings, or a map from each grounding to its own time, which also
+        gives the groundings a plan over live groundings runs over."""
+        state, out = self._state, {} if out is None else out
+        if isinstance(since, dict):
+            state.live, since = since, min(since.values(), default=state.lo)
+        state.dirty = since
         for value, plan in plans:
-            for args, t in plan.solve():
+            for args, t in plan():
                 out.setdefault(args, {}).setdefault(value, set()).add(t)
         state.indexes.clear()  # an index over the live set, or the points from dirty, is this run's
         return out
 
-    def _dirty_from(self, name: str, whole: bool) -> tuple[int, dict]:
+    def _dirty_from(self, name: str) -> tuple[int, dict]:
         """(d, touched): the dirty-from time of name's groundings, and args ->
         an earlier one for each grounding whose rules read an input key
-        changed before d, from that change on.  A rule that reuses nothing
-        makes it the window start for all; for an event the earliest such
-        change is every grounding's."""
+        changed before d, from that change on.  It is the window start for
+        all if the name reuses nothing (`_reuses_nothing`); for an event the
+        earliest such change is every grounding's."""
         lo, d0, reads = self._state.lo, self._d0, self._reads[name]
-        if whole or not self._late:
-            return lo if whole else d0, _NONE
+        if reads is None:
+            return lo, _NONE
+        if not self._late:
+            return d0, _NONE
         if reads not in self._touched:
             (patterns, grounding), floor, touched = reads, d0, {}
             index_for = _cached_index(lambda: self._grounded[name], grounding, self._domain_indexes)
@@ -893,13 +892,12 @@ class Engine:
         state = self._state
         lo, qi = state.lo, state.qi
         inits, terms = self._plans[INITIATED].get(name, []), self._plans[TERMINATED].get(name, [])
-        floor, touched = self._dirty_from(name, any(plan.whole for _v, plan in inits + terms))
+        floor, touched = self._dirty_from(name)
         fresh = self._solve(inits, floor)
-        if touched:
-            self._initiated_since(name, touched, fresh)
+        self._initiated_since(name, touched, fresh)
         self._break_ties(name, fresh)
         last, last_starts = self._prev_derived.get(name, _NONE), self._starts.get(name, _NONE)
-        starts, chains, live = {}, [], set()
+        starts, chains, live = {}, [], {}
         for args in last.keys() | last_starts.keys() | fresh.keys():
             old, ivs, st = last_starts.get(args, _NONE), last.get(args, _NONE), {}
             dirty = touched.get(args, floor)
@@ -911,7 +909,7 @@ class Engine:
                 if old:
                     starts[args] = old
                 if ivs:
-                    self._cache[(name, args)] = state.derived.setdefault(name, {})[args] = ivs
+                    state.derived.setdefault(name, {})[args] = ivs
                 continue
             for value, ts in old.items():
                 if not (lo < ts[0] and ts[-1] < dirty):
@@ -930,18 +928,14 @@ class Engine:
                 pending = bool(part) and part[-1][1] == dirty or (
                     dirty - 1 in ts if dirty > lo else held)
                 if kept or pending or ts and ts[-1] >= dirty:
-                    live.add(args)
+                    live[args] = dirty
                 chain[value] = (ilist, ts, part, pending, held, kept, lo in old.get(value, ()))
             if st:
                 starts[args] = st
             chains.append((args, dirty, st, chain))
         self._starts[name] = starts
-        # terminations from d for the live groundings, and from the least d
-        # of those with an earlier one
-        early = {args for args in live if args in touched} if touched else ()
-        ended, rebuilt = self._solve(terms, floor, live.difference(early) if early else live), []
-        if early:
-            ended.update(self._solve(terms, min(touched[args] for args in early), early))
+        # terminations of the live groundings, each from its own d
+        ended, rebuilt = self._solve(terms, live), []
         for args, dirty, st, chain in chains:
             ends = ended.get(args, _NONE)
             for value, (_il, ts, _part, _pe, held, kept, was_initiated) in chain.items():
@@ -955,7 +949,7 @@ class Engine:
             else:
                 self._settle(name, args, st, chain, dirty, ended)
         if rebuilt:
-            ended.update(self._solve(terms, lo, {args for args, _st, _chain in rebuilt}))
+            self._solve(terms, {args: lo for args, _st, _chain in rebuilt}, ended)
             for args, st, chain in rebuilt:
                 self._settle(name, args, st, chain, lo, ended)
 
@@ -974,15 +968,8 @@ class Engine:
                 else:
                     cut[args] = d
                     break
-        if not cut:
-            return
-        found = self._solve(self._plans["over"][name], min(cut.values()), cut)
-        for args, per_value in found.items():
-            d = cut[args]
-            for value, ts in per_value.items():
-                ts = {t for t in ts if t >= d}
-                if ts:
-                    fresh.setdefault(args, {}).setdefault(value, set()).update(ts)
+        if cut:
+            self._solve(self._plans["over"][name], cut, fresh)
 
     def _settle(self, name: str, args: tuple, st: dict, chain: dict, since: int, ended: dict):
         """Set a grounding's intervals: the carried ones before `since`, then
@@ -1010,7 +997,7 @@ class Engine:
             if ilist:
                 result[value] = ilist
         if result:
-            self._slot(name, args).update(result)
+            state.derived.setdefault(name, {})[args] = result
 
     def _break_ties(self, name: str, fresh: dict):
         """Simultaneous initiations of two values: the first-declared value
@@ -1035,11 +1022,9 @@ class Engine:
 
     def _compute_sd_fluent(self, name: str):
         state, plans = self._state, self._plans[HOLDS_FOR].get(name, [])
-        # the rules of one fluent share its result, so one reading a derived
-        # fluent makes them all reuse nothing
-        floor, touched = self._dirty_from(name, any(plan[3] for _value, plan in plans))
+        floor, touched = self._dirty_from(name)
         per_args: dict[tuple, dict] = {}
-        for value, (sources, fits, evaluate, _derived) in plans:
+        for value, (sources, fits, evaluate) in plans:
             for args, dirty in self._sd_groundings(name, sources, fits, floor, touched):
                 fresh = evaluate(args, dirty)
                 if fresh is not None:
@@ -1062,7 +1047,7 @@ class Engine:
                 if ilist:
                     result[value] = ilist
             if result:
-                self._slot(name, args).update(result)
+                state.derived.setdefault(name, {})[args] = result
 
     def _sd_groundings(self, name: str, sources: list, fits: Callable, floor: int,
                        touched: dict) -> list[tuple]:
@@ -1087,7 +1072,7 @@ class Engine:
         """The last query's occurrences before the dirty-from time carry over;
         it is the earliest of any grounding's."""
         state, plans = self._state, self._plans[HAPPENS].get(name, [])
-        dirty, _touched = self._dirty_from(name, any(plan.whole for _v, plan in plans))
+        dirty, _touched = self._dirty_from(name)
         occurrences = {args: {t for t in ts if state.lo < t < dirty}
                        for args, ts in self._prev_events.get(name, _NONE).items()}
         for args, per_value in self._solve(plans, dirty).items():
@@ -1103,12 +1088,14 @@ class Engine:
         flips a stability."""
         next_boundary = qi + self.cfg.step - self.cfg.wm
         last, kept, entries = self._entries, {}, []
-        for key in sorted(self._cache):
-            per_value, was = self._cache[key], last.get(key)
-            if was is None or next_boundary >= was[2] or was[0] != per_value:
-                was = _entries_of(key, per_value, next_boundary)
-            kept[key] = was
-            entries += was[1]
+        for name, per_args in sorted(self._state.derived.items()):
+            for args in sorted(per_args):
+                key, per_value = (name, args), per_args[args]
+                was = last.get(key)
+                if was is None or next_boundary >= was[2] or was[0] != per_value:
+                    was = _entries_of(key, per_value, next_boundary)
+                kept[key] = was
+                entries += was[1]
         self._entries = kept
         return entries
 
@@ -1225,6 +1212,17 @@ def _split(terms: tuple, slots: dict) -> tuple[list, list, list]:
             seen[term] = pos
     binds = [(pos, slots.setdefault(term, len(slots))) for term, pos in seen.items()]
     return key, binds, same
+
+
+def _reuses_nothing(rule: Rule, is_input: Callable) -> bool:
+    """Whether a rule reads a derived fluent or event, whose answers may
+    change anywhere in the window, or input at a time other than its head's,
+    which a change after the solution's may move.  The rules of a name share
+    its result, so one such rule makes the name evaluate from the window
+    start."""
+    return any(not is_input(read_by(lit).name)
+               or isinstance(lit, (HappensAt, HoldsAt)) and lit.time != rule.head_var
+               for lit in rule.body if isinstance(lit, (HappensAt, HoldsAt, HoldsFor)))
 
 
 def _reach(rule: Rule, is_input: Callable) -> tuple:

@@ -269,7 +269,6 @@ def closeness(
     samples: Iterable,
     pairs: Sequence[tuple[str, str]],
     threshold: float,
-    id_prefix: str = "close",
 ) -> list[InputRecord]:
     """Turn coordinate samples into durative `close` fluent records.
 
@@ -314,7 +313,7 @@ def closeness(
         for s, e in runs.get(min(ca, cb) * len(codes) + max(ca, cb), ()):
             records.append(
                 InputRecord(
-                    id=f"{id_prefix}-{len(records) + 1:06d}",
+                    id=f"close-{len(records) + 1:06d}",
                     kind="interval",
                     name="close",
                     args=(a, b),
@@ -463,3 +462,20 @@ def fill_auto_domains(ed: EventDescription, records: Iterable[InputRecord]) -> E
     for name in ed.auto_domains:
         ed = ed.with_domain(name, members)
     return ed
+
+
+def engine_input(ed: EventDescription, records: Sequence[InputRecord],
+                 threshold: float) -> tuple[EventDescription, list[InputRecord]]:
+    """A stream made ready for the engine: `ed` with its auto domains filled
+    from the records, and the records with each coordinate sample, with every
+    update or retract of its id, replaced by the closeness records of the
+    pairs `ed` grounds, appended at the end."""
+    from .bench import all_pairs  # here: bench loads a process pool, which `import evrec` need not
+
+    ed = fill_auto_domains(ed, records)
+    coord_ids = {r.id for r in records if r.kind == "coord"}
+    out = [r for r in records if r.id not in coord_ids]
+    coords = [r for r in records if r.id in coord_ids]
+    if coords:
+        out += closeness(coords, all_pairs(ed), threshold)
+    return ed, out

@@ -414,11 +414,7 @@ def desk_stream():
     spec = generator.GenSpec(entities=10, duration=3000, seed=17, scale_copies=10)
     raw = generator.generate(spec)
     ed, _ = lang.load(PACK)
-    ed = streams.fill_auto_domains(ed, raw)
-    coords = [r for r in raw if r.kind == "coord"]
-    recs = [r for r in raw if r.kind != "coord"]
-    recs += streams.closeness(coords, bench_mod.all_pairs(ed), 25.0)
-    return ed, recs
+    return streams.engine_input(ed, raw, 25.0)
 
 
 def test_criterion_09_desk_scale_performance(desk_stream):

@@ -709,12 +709,43 @@ def test_a_late_record_reevaluates_only_the_groundings_that_read_it():
     results = replay_against_the_oracle(engine, recs, 40, scratch=Engine(ed, cfg))
     p1 = {("p1", "p2"): 24, ("p2", "p1"): 24, ("p1", "p3"): 24, ("p3", "p1"): 24}
     for name in ("moving", "moving_sd"):
-        assert engine._dirty_from(name, False) == (31, p1)
+        assert engine._dirty_from(name) == (31, p1)
     moving = {(e.name, e.args, e.start, e.end) for e in results[-1].entries
               if e.name == "moving" and "p2" in e.args}
     assert moving == {("moving", ("p1", "p2"), 13, 20), ("moving", ("p2", "p1"), 13, 20),
                       ("moving", ("p1", "p2"), 25, None), ("moving", ("p2", "p1"), 25, None),
                       ("moving", ("p2", "p3"), 13, None), ("moving", ("p3", "p2"), 13, None)}
+
+
+def test_each_touched_grounding_is_solved_from_its_own_dirty_from_time(monkeypatch):
+    # late walking records, of p1 from 24 and of p2 from 27, reach the pairs
+    # with each from its own time; the pairs with p2 have a close end at 25
+    # and a close start at 26, before theirs, which no run over them solves
+    ed, cfg = surveillance("p1", "p2", "p3", "p4"), EngineConfig(wm=40, step=10)
+    recs = [fl(1, "walking", ("p1",), 5, 20), fl(2, "walking", ("p2",), 5, 200),
+            fl(3, "walking", ("p3",), 5, 200), fl(4, "walking", ("p4",), 5, 200),
+            fl(5, "close", ("p2", "p3"), 26, 200), fl(6, "close", ("p2", "p4"), 12, 25),
+            fl(7, "close", ("p2", "p4"), 29, 200), fl(8, "close", ("p1", "p4"), 12, 200),
+            fl(9, "walking", ("p1",), 24, 200, arrival=40),
+            fl(10, "walking", ("p2",), 27, 35, arrival=40)]
+    runs, solve = [], Engine._solve
+
+    def spy(self, plans, since, out=None):
+        if isinstance(since, dict):  # this run's solutions alone
+            runs.append((self._state.lo, since, solve(self, plans, since)))
+        return solve(self, plans, since, out)
+
+    monkeypatch.setattr(Engine, "_solve", spy)
+    engine = Engine(ed, cfg)
+    replay_against_the_oracle(engine, recs, 40, scratch=Engine(ed, cfg))
+    pairs = list(itertools.permutations(("p1", "p2", "p3", "p4"), 2))
+    own = {pair: 24 if "p1" in pair else 27 for pair in pairs if {"p1", "p2"} & set(pair)}
+    assert engine._dirty_from("moving") == (31, own)
+    assert any(len(set(since.values())) > 1 for _lo, since, _out in runs)
+    for lo, since, out in runs:
+        for args, per_value in out.items():
+            for ts in per_value.values():
+                assert all(t == lo or t >= since[args] for t in ts), (args, since[args], ts)
 
 
 # what the surveillance pack lacks: a multi-valued fluent, a derived event
