@@ -37,15 +37,16 @@ Classification keeps a grounding's entries while its intervals equal the
 last query's and the next boundary has not reached one of their endpoints.
 
 `Engine.__init__` refuses a rule pack for which `language.validate` reports
-an error, and compiles each rule of any other once into a plan: an ordered
-chain of join steps over variable slots, in the order `language.join_order`
-gives, each reading its source through an index on the argument positions
-bound before it.  The plans rely on validate's checks and repeat none of
-them; only an ordering comparison on non-integer values, which depends on
-the data, fails at query time.  Terminations are evaluated only for
-groundings that hold into the part being rebuilt or have an initiation there,
-each from its own dirty-from time in one solve, and a holdsFor rule only for
-the groundings drawn from its sparsest required input (see README.md).
+an error, and compiles each rule of any other once into a plan; a point
+rule's is a generated function, `plan.source` its text, of loops and tests in
+the order `language.join_order` gives, each reading its source through an
+index on the argument positions bound before it.  The plans rely on
+validate's checks and repeat none of them; only an ordering comparison on
+non-integer values, which depends on the data, fails at query time.
+Terminations are evaluated only for groundings that hold into the part being
+rebuilt or have an initiation there, each from its own dirty-from time in one
+solve, and a holdsFor rule only for the groundings drawn from its sparsest
+required input (see README.md).
 
 One engine instance is single-threaded; scale-out is by running independent
 instances over disjoint groundings, each fed the complete stream.
@@ -651,123 +652,72 @@ class Engine:
     # -- rule plans ----------------------------------------------------------
 
     def _compile_point(self, rule: Rule, over_live: bool = False) -> Callable[[], list]:
-        """Compile an initiatedAt, terminatedAt or happensAt rule into a plan:
-        a function that returns its solutions' (head arguments, T) pairs.  Each
-        step binds its new variables in a slot list and calls the next step
-        once per match.  Slot 0 holds the dirty-from time that a happensAt
-        step with its time unbound reads: state.dirty, or over live
+        """Compile an initiatedAt, terminatedAt or happensAt rule into a plan,
+        a generated function (`_PlanSource`) returning its solutions' (head
+        arguments, T) pairs.  Its `d` is the dirty-from time that a happensAt
+        literal with its time unbound reads: state.dirty, or over live
         groundings each one's own.  A termination, and with `over_live` any
         rule, is solved only over the groundings in state.live."""
-        name, head, state = rule.head.name, rule.head.args, self._state
-        slots: dict = {None: 0}
-        steps = []
-        over_live = over_live or rule.kind == TERMINATED
+        name, head = rule.head.name, rule.head.args
+        over_live, src = over_live or rule.kind == TERMINATED, _PlanSource(self._state)
         if over_live:
             # a grounding with neither an initiation nor a kept start cannot
             # hold, so only the live ones need their terminations; an
             # initiation is solved over given groundings from their own d
-            live = lambda: state.live  # noqa: E731
-            join = _join(live, head, slots, _cached_index(live, ("live", name), state.indexes))
-
-            def own_time(nxt):
-                def expand(env, args):
-                    env[0] = state.live[args]
-                    nxt(env)
-
-                return join(nxt, expand)
-
-            steps.append(own_time)
-        steps += [self._step(lit, slots) for lit in join_order(rule, over_live)]
+            src.add("for a, d in state.live.items():")
+            src.bind("a", head)
+        for lit in join_order(rule, over_live):
+            self._literal(src, lit)
         grounded = self._grounded.get(name, set())
-        check = name in self.ed.groundings and not over_live
-        if any(is_var(a) and a not in slots for a in head):
+        free = any(is_var(a) and a not in src.vars for a in head)
+        if free:
             # the body leaves head variables free: the rule fires for every
             # grounding that matches the bound part
             domain = lambda: grounded  # noqa: E731
-            index = _cached_index(domain, name, self._domain_indexes)
-            steps.append(_join(domain, head, slots, index))
-            check = False
-        build = _builder([(slots[a], None) if is_var(a) else (None, a) for a in head])
-        tslot, out = slots[rule.head_var], len(slots)
+            src.join(domain, _cached_index(domain, name, self._domain_indexes), head)
+        args = _tuple_text([src.term(a) for a in head])
+        if not free and not over_live and name in self.ed.groundings:
+            src.add(f"if {args} in {src.param(grounded, 'g')}:")
+        src.add(f"out.append(({args}, {src.term(rule.head_var)}))", False)
+        return src.build(f"<plan of {rule.kind} {rule.head}, line {rule.line}>")
 
-        def sink(env):
-            args = build(env)
-            if not check or args in grounded:
-                env[out].append((args, env[tslot]))
-
-        step = sink
-        for make in reversed(steps):
-            step = make(step)
-
-        def solve() -> list:
-            env = [state.dirty, *[None] * (out - 1), []]
-            step(env)
-            return env[out]
-
-        return solve
-
-    def _step(self, lit, slots: dict) -> Callable:
-        """Compile one body literal, given the variables bound before it, into
-        a function from the next step to this one."""
+    def _literal(self, src: _PlanSource, lit):
+        """Add the test or loops of one body literal to a plan."""
         state = self._state
         if isinstance(lit, Comparison):
-            pair = _builder([(slots[x], None) if is_var(x) else (None, x) for x in terms_of(lit)])
-            return lambda nxt: lambda env: _compare(lit.op, *pair(env)) and nxt(env)
+            left, right = map(src.term, terms_of(lit))
+            src.add(f"if {src.param(partial(_compare, lit.op), 'c')}({left}, {right}):")
+            return
         if isinstance(lit, HoldsAt):
-            (rows, intervals, index), tslot = self._fluent(lit.fluent), slots[lit.time]
-            join = _join(rows, lit.fluent.args, slots, index)
-            return lambda nxt: join(
-                nxt, lambda env, args: iv.holds_at(intervals(args), env[tslot]) and nxt(env)
-            )
+            rows, _intervals, index = self._fluent(lit.fluent)
+            (at, args), value = src.join(rows, index, lit.fluent.args), src.param(lit.fluent.value)
+            src.add(f"if iv.holds_at({at}.get({args}, E).get({value}, ()), {src.term(lit.time)}):")
+            return
         event = lit.event
-        name, tag = getattr(event, "fluent", event).name, None
+        name, tag, points = getattr(event, "fluent", event).name, None, "{0}[{1}]"
         if self.ed.is_input(name):
             tag = (name, "happens", None)
             if isinstance(event, BoundaryEvent):
                 tag = (name, event.which, event.fluent.value)
-            rows = self._fresh(tag)
-            points = lambda args: rows()[args]  # noqa: E731
+            rows = partial(_fresh, state, tag)
         elif isinstance(event, BoundaryEvent):
-            rows, intervals, _ = self._fluent(event.fluent)
-            which = f"{event.which}_points"
-            points = lambda args: getattr(iv, which)(intervals(args))  # noqa: E731
+            rows, value = self._fluent(event.fluent)[0], src.param(event.fluent.value)
+            which = "start_points" if event.which == "start" else "end_points"
+            points = f"iv.{which}({{0}}.get({{1}}, E).get({value}, ()))"
         else:
             rows = lambda: state.events.get(name, _NONE)  # noqa: E731
-            points = lambda args: rows()[args]  # noqa: E731
-        join = _join(rows, terms_of(lit), slots, _cached_index(rows, tag or name, state.indexes))
-        bound = lit.time in slots  # before this literal, or by its own arguments
-        tslot = slots.setdefault(lit.time, len(slots))
-
-        def make(nxt):
-            def expand(env, args):
-                # with the time bound, only check that the event happens then;
-                # else take the window start and the times from slot 0's on,
-                # the window start too for a rule reading input at a time
-                # other than its head's (`_reuses_nothing`)
-                first, lo, hi = (env[tslot],) * 3 if bound else (state.lo, env[0], state.qi)
-                for t in points(args):
-                    if t == first or lo <= t <= hi:
-                        env[tslot] = t
-                        nxt(env)
-
-            return join(nxt, expand)
-
-        return make
-
-    def _fresh(self, tag: tuple) -> Callable:
-        """rows() of the argument tuples with an input point at the window
-        start or from state.dirty on, each mapped to those points; read from
-        the time-keyed index once per solve."""
-        state = self._state
-
-        def rows() -> dict:
-            fresh = state.indexes.get(tag)
-            if fresh is None:
-                fresh = state.indexes[tag] = state.store.points_from(
-                    tag, state.lo, state.dirty, state.qi)
-            return fresh
-
-        return rows
+        index_for = _cached_index(rows, tag or name, state.indexes)
+        points = points.format(*src.join(rows, index_for, terms_of(lit)))
+        if lit.time in src.vars:  # before this literal, or by its own arguments
+            # only check that the event happens then
+            src.add(f"if {src.term(lit.time)} in {points}:")
+        else:
+            # take the window start and the times from d on, the window start
+            # too for a rule reading input at a time other than its head's
+            # (`_reuses_nothing`)
+            time = src.term(lit.time, new=True)
+            src.add(f"for {time} in {points}:")
+            src.add(f"if {time} == lo or d <= {time} <= qi:")
 
     def _fluent(self, fv: FluentValue) -> tuple[Callable, Callable, Callable]:
         """rows() of a fluent's argument tuples at this query, each mapped to
@@ -792,7 +742,7 @@ class Engine:
         (rows, intervals, arity, to_head, to_key) is a required input whose
         variables are the head's."""
         head, state = rule.head.args, self._state
-        first = {t: pos for pos, t in reversed(list(enumerate(head))) if is_var(t)}
+        first = _first_positions(head)
 
         def over_head(terms):
             return _builder([(first[t], None) if is_var(t) else (None, t) for t in terms])
@@ -803,7 +753,7 @@ class Engine:
             if isinstance(lit, HoldsFor):
                 (rows, intervals, _), fv = self._fluent(lit.fluent), lit.fluent
                 body.append((lit, over_head(fv.args), intervals, lit in required))
-                at = {t: pos for pos, t in reversed(list(enumerate(fv.args))) if is_var(t)}
+                at = _first_positions(fv.args)
                 if lit in required and at.keys() == first.keys():
                     to_head = _builder([(at[t], None) if is_var(t) else (None, t) for t in head])
                     sources.append((rows, intervals, len(fv.args), to_head, body[-1][1]))
@@ -1138,6 +1088,16 @@ def _index(rows: Iterable[tuple], shape: tuple) -> dict:
     return index
 
 
+def _fresh(state: _QueryState, tag: tuple) -> dict:
+    """The argument tuples with an input point at the window start or from
+    state.dirty on, each mapped to those points; read from the time-keyed
+    index once per solve."""
+    fresh = state.indexes.get(tag)
+    if fresh is None:
+        fresh = state.indexes[tag] = state.store.points_from(tag, state.lo, state.dirty, state.qi)
+    return fresh
+
+
 def _cached_index(rows: Callable, tag, indexes: dict) -> Callable:
     """shape -> index(), the index of that shape over rows(), built once and
     kept in `indexes`, which its owner empties when rows() may have changed."""
@@ -1164,54 +1124,92 @@ def _builder(parts: list) -> Callable:
     return itemgetter(*(index for index, _c in parts))
 
 
-def _join(rows: Callable, terms: tuple, slots: dict, index_for: Callable):
-    """The step over the tuples of rows() that agree with the bound ones among
-    `terms`: one probe when all are bound, else a lookup in the index that
-    index_for(shape)() gives, the tuples of rows() of shape (arity, bound
-    positions) by those positions.  Per tuple it binds the new variables,
-    then calls expand or next."""
-    key, binds, same = _split(terms, slots)
-    index = index_for((len(terms), tuple(pos for pos, _s, _c in key)))
-    build, whole = _builder([(slot, c) for _pos, slot, c in key]), len(key) == len(terms)
+class _PlanSource:
+    """A point rule's plan being generated: its text, and the values of its
+    factory's parameters.  Rule variables are the locals v0, v1, ... in the
+    order bound; constants, comparisons and sources are parameters, so no
+    rule text reaches the source, which is the same for rules alike in shape."""
 
-    def find(env):
-        if whole:
-            args = build(env)
-            return (args,) if args in rows() else ()
-        return index().get(build(env), ())
+    def __init__(self, state: _QueryState):
+        self.params, self.values = ["state", "iv", "E"], [state, iv, _NONE]
+        self.vars: dict = {}  # rule variable -> its local
+        self.fetched: list[str] = []  # locals set where first needed, None before
+        self.lines: list[str] = []
+        self.depth, self.count = 2, itertools.count()
 
-    def make(nxt, expand=None):
-        expand = expand or (lambda env, args: nxt(env))
+    def param(self, value, prefix: str = "k") -> str:
+        self.params.append(f"{prefix}{len(self.params)}")
+        self.values.append(value)
+        return self.params[-1]
 
-        def step(env):
-            for args in find(env):
-                if not same or all(args[p] == args[q] for p, q in same):
-                    for pos, slot in binds:
-                        env[slot] = args[pos]
-                    expand(env, args)
+    def term(self, term, new: bool = False) -> str:
+        """A variable's local (a new one with `new`), or a constant's parameter."""
+        if new:
+            self.vars[term] = f"v{len(self.vars)}"
+        return self.vars[term] if is_var(term) else self.param(term)
 
-        return step
+    def add(self, text: str, inside: bool = True):
+        """Add a line, and with `inside` put the lines after it inside it."""
+        self.lines.append("    " * self.depth + text)
+        self.depth += inside
 
-    return make
+    def fetch(self, make: Callable) -> str:
+        """A local holding make(), called once per run, where first needed."""
+        local = f"f{next(self.count)}"
+        self.fetched.append(local)
+        self.add(f"if {local} is None: {local} = {self.param(make, 'm')}()", False)
+        return local
 
-
-def _split(terms: tuple, slots: dict) -> tuple[list, list, list]:
-    """Split a literal's arguments, given the variables bound before it, into
-    the lookup key [(position, slot or None, constant)], the new variables it
-    binds [(position, slot)] and repeats of a new variable [(position,
-    earlier position)].  New variables take the next free slots."""
-    key, same, seen = [], [], {}
-    for pos, term in enumerate(terms):
-        if not is_var(term):
-            key.append((pos, None, term))
-        elif term in slots:
-            key.append((pos, slots[term], None))
-        elif term in seen:
-            same.append((pos, seen[term]))
+    def join(self, rows: Callable, index_for: Callable, terms: tuple) -> tuple[str, str]:
+        """Open the test or loop over the tuples of rows() that agree with the
+        bound ones among `terms`, binding the new ones: a probe when all are
+        bound, else a lookup in index_for(shape)() by the bound positions.
+        Returns the locals of rows() and of each tuple."""
+        local, at = self.fetch(rows), f"a{next(self.count)}"
+        keyed = [pos for pos, t in enumerate(terms) if not is_var(t) or t in self.vars]
+        key = _tuple_text([self.term(terms[pos]) for pos in keyed])
+        if len(keyed) == len(terms):
+            self.add(f"if ({at} := {key}) in {local}:")
         else:
-            seen[term] = pos
-    binds = [(pos, slots.setdefault(term, len(slots))) for term, pos in seen.items()]
-    return key, binds, same
+            index = self.fetch(index_for((len(terms), tuple(keyed))))
+            self.add(f"for {at} in {index}.get({key}, ()):")
+            self.bind(at, terms, keyed)
+        return local, at
+
+    def bind(self, at: str, terms: tuple, keyed=()):
+        """Test a tuple's items outside its key against their constants and
+        repeated variables, then bind the new variables."""
+        first = _first_positions(terms)
+        for pos, t in enumerate(terms):
+            if pos not in keyed and (not is_var(t) or first[t] != pos):
+                other = f"{at}[{first[t]}]" if is_var(t) else self.param(t)
+                self.add(f"if {at}[{pos}] == {other}:")
+        for pos, t in enumerate(terms):
+            if is_var(t) and t not in self.vars:
+                self.add(f"{self.term(t, new=True)} = {at}[{pos}]", False)
+
+    def build(self, filename: str) -> Callable[[], list]:
+        """Compile the factory once and make the plan, with its text as
+        `plan.source`.  The factory leaves the namespace, so that no cycle
+        through it keeps the plan's sources alive."""
+        source = "\n".join([f"def make({', '.join(self.params)}):", "    def plan():",
+                            "        lo, qi, d, out = state.lo, state.qi, state.dirty, []",
+                            f"        {' = '.join(self.fetched + ['None'])}", *self.lines,
+                            "        return out", "    return plan", ""])
+        namespace: dict = {}
+        exec(compile(source, filename, "exec"), namespace)
+        plan = namespace.pop("make")(*self.values)
+        plan.source = source
+        return plan
+
+
+def _tuple_text(items: list[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _first_positions(terms: tuple) -> dict:
+    """variable -> the position of its first occurrence in `terms`."""
+    return {t: pos for pos, t in reversed(list(enumerate(terms))) if is_var(t)}
 
 
 def _reuses_nothing(rule: Rule, is_input: Callable) -> bool:
@@ -1230,7 +1228,7 @@ def _reach(rule: Rule, is_input: Callable) -> tuple:
     grounding) of each body literal of a point rule over exactly the head's
     variables: a grounding whose content there ends before a time has no
     solution from that time on."""
-    head = {t: pos for pos, t in reversed(list(enumerate(rule.head.args))) if is_var(t)}
+    head = _first_positions(rule.head.args)
     return tuple((fv.name, fv.value, tuple((head.get(t), t) for t in fv.args))
                  for fv in [read_by(lit) for lit in rule.body if not isinstance(lit, Comparison)]
                  if isinstance(fv, FluentValue) and is_input(fv.name)
@@ -1243,7 +1241,7 @@ def _pattern(head: tuple, read) -> tuple:
     head positions in shape (arity, positions) to its values at `positions`.
     Constants and repeated variables are not matched, which only widens the
     groundings a key reaches."""
-    at = {t: pos for pos, t in reversed(list(enumerate(read.args))) if is_var(t)}
+    at = _first_positions(read.args)
     bound = [(i, at[t]) for i, t in enumerate(head) if t in at]
     return (read.name, len(read.args), tuple(p for _i, p in bound),
             (len(head), tuple(i for i, _p in bound)))

@@ -3,6 +3,7 @@ import importlib.resources as res
 import itertools
 import math
 import random
+import re
 import weakref
 from dataclasses import replace
 
@@ -321,6 +322,71 @@ def test_unbound_head_variable_grounds_over_domain():
     assert got == {(("p1", "obj1"), 21, 60), (("p2", "obj1"), 21, 60)}
 
 
+# rule shapes no other pack has: a constant in a body literal and in a head, a
+# variable repeated inside one literal, and heads with variables the body
+# leaves free; the constants are also names that a generated plan uses
+SHAPES_PACK = """domain ent = {lo, qi, d, out}
+input event ping/2
+input event up/1
+input fluent near/2
+event echo/2
+simple fluent self/1
+simple fluent tagged/2
+simple fluent fan/2
+ground self over ent
+ground tagged over pairs(ent)
+ground fan over pairs(ent)
+initiatedAt(self(X) = true, T) <- happensAt(ping(X, X), T).
+initiatedAt(tagged(X, d) = true, T) <- happensAt(up(X), T), holdsAt(near(X, d) = true, T).
+initiatedAt(fan(X, Y) = true, T) <- happensAt(up(X), T).
+happensAt(echo(X, qi), T) <- happensAt(ping(X, Y), T), Y != X.
+terminatedAt(fan(X, Y) = true, T) <- happensAt(echo(Y, qi), T).
+"""
+
+
+@pytest.mark.parametrize("wm, step", [(40, 40), (20, 5)])
+def test_constants_repeated_and_free_head_variables(wm, step):
+    ed, diagnostics = lang.load(SHAPES_PACK)
+    assert not [d for d in diagnostics if d.severity == "error"]
+    recs = [ev(1, "ping", ("lo", "lo"), 3), ev(2, "ping", ("lo", "qi"), 4),
+            fl(3, "near", ("out", "d"), 2, 9), ev(4, "up", ("out",), 5), ev(5, "up", ("d",), 6),
+            ev(6, "ping", ("d", "lo"), 12)]
+    cfg = EngineConfig(wm=wm, step=step)
+    engine, scratch = Engine(ed, cfg), Engine(ed, cfg)
+    for qi in range(step, 41, step):
+        for eng in (engine, scratch):
+            eng.ingest([r for r in recs if qi - step < record_occurrence(r) <= qi])
+        scratch.answered_to = -math.inf
+        res = engine.query(qi)
+        assert res.entries == scratch.query(qi).entries, f"query {qi} from scratch"
+    want = {("fan", ("out", "d"), 6, 12), ("fan", ("out", "lo"), 6, None),
+            ("fan", ("out", "qi"), 6, None), ("fan", ("d", "lo"), 7, None),
+            ("fan", ("d", "qi"), 7, None), ("fan", ("d", "out"), 7, None),
+            ("self", ("lo",), 4, None), ("tagged", ("out", "d"), 6, None)}
+    if wm == 20:  # it ended before this window
+        want.discard(("fan", ("out", "d"), 6, 12))
+    assert {(e.name, e.args, e.start, e.end) for e in res.entries} == want
+
+
+def test_plan_source_holds_no_rule_text():
+    # every name, constant and variable renamed: the plans are the same text,
+    # so none of them is spliced into it, not even a constant named like a local
+    renamed = {"lo": "p", "qi": "q", "d": "r", "out": "s", "X": "Who", "Y": "Whom",
+               "T": "When", "true": "yes", "ent": "thing", "ping": "knock", "up": "rise",
+               "near": "by", "echo": "answer", "self": "own", "tagged": "marked",
+               "fan": "spread"}
+    pattern = re.compile(r"\b(" + "|".join(renamed) + r")\b")
+    twin = pattern.sub(lambda m: renamed[m.group(1)], SHAPES_PACK)
+    assert twin != SHAPES_PACK
+    sources = []
+    for text in (SHAPES_PACK, twin):
+        ed, _ = lang.load(text)
+        engine = Engine(ed, EngineConfig(wm=40, step=40))
+        sources.append([plan.source for per_name in engine._plans.values()
+                        for plans in per_name.values() for _value, plan in plans])
+    assert sources[0] == sources[1]
+
+
 def test_sd_prefix_amalgamation_is_seamless():
     ed = surveillance("p1", "p2")
     recs = [
@@ -539,7 +605,8 @@ def test_state_stays_inside_the_window_on_a_long_stream():
         for name, shapes in store.joins.items():
             for index in shapes.values():
                 assert sum(map(len, index.values())) <= len(store.content[name])
-        assert engine._entries.keys() == engine.prev_cache.keys()
+        assert engine._entries.keys() == {(name, args) for name, per_args in
+                                          engine._state.derived.items() for args in per_args}
 
 
 # ---------------------------------------------------------------------------
