@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .engine import (ConfigError, EngineConfig, RecognitionResult, ResultEntry, run_stream,
                      select_reported)
-from .language import EventDescription
+from .language import EventDescription, all_pairs
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,6 @@ def write_report(reports: list[BenchReport], path):
         writer.writeheader()
         for rep in reports:
             writer.writerow(rep.row())
-
-
-def all_pairs(ed: EventDescription) -> list[tuple]:
-    """Every grounded pair tuple any composite entity ranges over, sorted."""
-    pairs = set()
-    for name, expr in ed.groundings.items():
-        if expr.shape == "pairs":
-            pairs.update(ed.grounded_tuples(name))
-    return sorted(pairs)
 
 
 def partition_pairs(pairs: list[tuple], shards: int) -> list[set[tuple]]:

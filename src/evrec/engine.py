@@ -37,16 +37,18 @@ Classification keeps a grounding's entries while its intervals equal the
 last query's and the next boundary has not reached one of their endpoints.
 
 `Engine.__init__` refuses a rule pack for which `language.validate` reports
-an error, and compiles each rule of any other once into a plan; a point
-rule's is a generated function, `plan.source` its text, of loops and tests in
-the order `language.join_order` gives, each reading its source through an
-index on the argument positions bound before it.  The plans rely on
+an error, and compiles each rule of any other once into a plan, a generated
+function whose text is `plan.source`.  A point rule's plan is loops and tests
+in the order `language.join_order` gives, each reading its source through an
+index on the argument positions bound before it; a holdsFor rule's is a loop
+over the rows of its first required input over the head's variables, or over
+its grounding, then its conjuncts in body order.  The plans rely on
 validate's checks and repeat none of them; only an ordering comparison on
 non-integer values, which depends on the data, fails at query time.
 Terminations are evaluated only for groundings that hold into the part being
-rebuilt or have an initiation there, each from its own dirty-from time in one
-solve, and a holdsFor rule only for the groundings drawn from its sparsest
-required input (see README.md).
+rebuilt or have an initiation there, and a holdsFor rule only for groundings
+whose source row has content from their time on, each from its own
+dirty-from time in one run (see README.md).
 
 One engine instance is single-threaded; scale-out is by running independent
 instances over disjoint groundings, each fed the complete stream.
@@ -139,9 +141,11 @@ def select_reported(entries: Iterable[ResultEntry], mode: str) -> list[ResultEnt
     return [e for e in entries if e.stability in _REPORTED[mode]]
 
 
-def _materialize(ilist: IntervalList, bound: int) -> IntervalList:
-    """Cut at `bound` for set arithmetic: drop what starts after it, and end
-    what reaches further, or is OPEN, one past it."""
+def _cut(ilist: IntervalList, since: int, bound: int) -> IntervalList:
+    """A holdsFor conjunct's intervals from `since` on, cut at `bound` for set
+    arithmetic: drop what starts after it, and end what reaches further, or is
+    OPEN, one past it."""
+    ilist = iv.clip_before(ilist, since - 1)[1]
     if not ilist or ilist[-1][1] is not OPEN and ilist[-1][1] <= bound + 1:
         return ilist
     out = []
@@ -484,7 +488,9 @@ class _QueryState:
         self.dirty = 0  # the least dirty-from time of the solve running
         self.derived: dict[str, dict] = {}  # name -> args -> value -> intervals
         self.events: dict[str, dict] = {}  # name -> args -> times of a derived event
-        self.live: dict[tuple, int] = {}  # grounding -> its d, for plans over live groundings
+        # grounding -> its own d: those a plan over live groundings runs over, or
+        # for a holdsFor plan those whose d is not state.dirty
+        self.live: dict[tuple, int] = {}
         self.indexes: dict[tuple, dict] = {}  # emptied after each solve and scheduled item
 
 
@@ -689,7 +695,7 @@ class Engine:
             src.add(f"if {src.param(partial(_compare, lit.op), 'c')}({left}, {right}):")
             return
         if isinstance(lit, HoldsAt):
-            rows, _intervals, index = self._fluent(lit.fluent)
+            rows, index = self._fluent(lit.fluent)
             (at, args), value = src.join(rows, index, lit.fluent.args), src.param(lit.fluent.value)
             src.add(f"if iv.holds_at({at}.get({args}, E).get({value}, ()), {src.term(lit.time)}):")
             return
@@ -719,72 +725,71 @@ class Engine:
             src.add(f"for {time} in {points}:")
             src.add(f"if {time} == lo or d <= {time} <= qi:")
 
-    def _fluent(self, fv: FluentValue) -> tuple[Callable, Callable, Callable]:
+    def _fluent(self, fv: FluentValue) -> tuple[Callable, Callable]:
         """rows() of a fluent's argument tuples at this query, each mapped to
-        its value -> content dict, args -> the intervals of fv's value, and
-        shape -> index(), an index over rows(): the store keeps those over
-        input, and those over a derived fluent last one solve.  Input content may reach
-        past Qi, where evaluation cuts it."""
-        name, value, state = fv.name, fv.value, self._state
+        its value -> content dict, and shape -> index(), an index over rows():
+        the store keeps those over input, and those over a derived fluent last
+        one solve.  Input content may reach past Qi, where evaluation cuts it."""
+        name, state = fv.name, self._state
         if self.ed.is_input(name):
             store = state.store
             content = store.content.setdefault(name, {})  # kept for good by the store
-            return ((lambda: content), lambda args: content.get(args, _NONE).get(value, []),
-                    lambda shape: partial(store.join_index, name, shape))
+            return (lambda: content), lambda shape: partial(store.join_index, name, shape)
         rows = lambda: state.derived.get(name, _NONE)  # noqa: E731
-        return (rows, lambda args: rows().get(args, _NONE).get(value, []),
-                _cached_index(rows, name, state.indexes))
+        return rows, _cached_index(rows, name, state.indexes)
 
-    def _compile_sd(self, rule: Rule) -> tuple:
-        """Compile a holdsFor rule into (sources, fits, evaluate):
-        evaluate maps a head grounding and a time to the body's intervals from
-        that time on (None if a required conjunct is empty there).  A source
-        (rows, intervals, arity, to_head, to_key) is a required input whose
-        variables are the head's."""
-        head, state = rule.head.args, self._state
-        first = _first_positions(head)
-
-        def over_head(terms):
-            return _builder([(first[t], None) if is_var(t) else (None, t) for t in terms])
-
-        required = _required_literals(rule)
-        body, sources = [], []
+    def _compile_sd(self, rule: Rule) -> Callable[[], list]:
+        """Compile a holdsFor rule into a plan, a generated function
+        (`_PlanSource`) returning (head arguments, intervals) for each
+        grounding whose required conjuncts have content from its own
+        dirty-from time e, its state.live entry or else d, on.  The groundings
+        come from the rows of the first required holdsFor literal over exactly
+        the head's variables that also have content reaching past e, else
+        from the declared grounding."""
+        name, head, src = rule.head.name, rule.head.args, _PlanSource(self._state)
+        grounded, required = self._grounded.get(name, set()), _required_literals(rule)
+        source = next((lit for lit in required if _first_positions(lit.fluent.args).keys()
+                       == _first_positions(head).keys()), None)
+        if source is None:
+            domain = lambda: grounded  # noqa: E731
+            _rows, args = src.join(domain, _cached_index(domain, name, self._domain_indexes), head)
+            src.add(f"e = state.live.get({args}, d)", False)
+        else:
+            rows, at = src.join(*self._fluent(source.fluent), source.fluent.args)
+            args = "h"
+            src.add(f"if (h := {_tuple_text([src.term(a) for a in head])}) in "
+                    f"{src.param(grounded, 'g')}:")
+            src.add("e = state.live.get(h, d)", False)
+            # constant time, where cutting would walk the whole list
+            src.add(f"if (s := {rows}[{at}].get({src.param(source.fluent.value)})) and "
+                    "(s[-1][1] is None or s[-1][1] > e):")
+        local = {}  # interval variable -> its local
         for lit in rule.body:
+            if isinstance(lit, Comparison):
+                self._literal(src, lit)
+                continue
+            var = lit.interval if isinstance(lit, HoldsFor) else lit.out
+            out = local.setdefault(var, f"i{len(local)}")
             if isinstance(lit, HoldsFor):
-                (rows, intervals, _), fv = self._fluent(lit.fluent), lit.fluent
-                body.append((lit, over_head(fv.args), intervals, lit in required))
-                at = _first_positions(fv.args)
-                if lit in required and at.keys() == first.keys():
-                    to_head = _builder([(at[t], None) if is_var(t) else (None, t) for t in head])
-                    sources.append((rows, intervals, len(fv.args), to_head, body[-1][1]))
-            elif isinstance(lit, Comparison):
-                body.append((lit, over_head(terms_of(lit)), None, False))
-            else:  # an interval construct
-                body.append((lit, None, None, False))
-
-        def evaluate(args: tuple, since: int) -> Optional[IntervalList]:
-            env: dict[str, IntervalList] = {}
-            for lit, key, intervals, needed in body:
-                if intervals is not None:
-                    _, ilist = iv.clip_before(intervals(key(args)), since - 1)
-                    ilist = _materialize(ilist, state.qi)
-                    if needed and not ilist:
-                        return None
-                    env[lit.interval] = ilist
-                elif key is not None:
-                    if not _compare(lit.op, *key(args)):
-                        return None
-                elif isinstance(lit, IntervalComplement):
-                    removed = [env[v] for v in lit.removed]
-                    env[lit.out] = iv.relative_complement_all(env[lit.base], removed)
+                ilist = "s"
+                if lit != source:
+                    rows, fv = src.fetch(self._fluent(lit.fluent)[0]), lit.fluent
+                    ilist = (f"{rows}.get({_tuple_text([src.term(a) for a in fv.args])}, E)"
+                             f".get({src.param(fv.value)}, ())")
+                if lit in required:
+                    src.add(f"if {out} := cut({ilist}, e, qi):")
                 else:
-                    combine = iv.union_all if isinstance(lit, IntervalUnion) else iv.intersect_all
-                    env[lit.out] = combine([env[v] for v in lit.inputs])
-            return env[rule.head_var]
-
-        canon = over_head(head)
-        fits = lambda args: len(args) == len(head) and canon(args) == args  # noqa: E731
-        return sources, fits, evaluate
+                    src.add(f"{out} = cut({ilist}, e, qi)", False)
+            elif isinstance(lit, IntervalComplement):
+                removed = ", ".join(local[v] for v in lit.removed)
+                src.add(f"{out} = iv.relative_complement_all({local[lit.base]}, [{removed}])",
+                        False)
+            else:
+                combine = "union_all" if isinstance(lit, IntervalUnion) else "intersect_all"
+                src.add(f"{out} = iv.{combine}([{', '.join(local[v] for v in lit.inputs)}])",
+                        False)
+        src.add(f"out.append(({args}, {local[rule.head_var]}))", False)
+        return src.build(f"<plan of {rule.kind} {rule.head}, line {rule.line}>")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -971,15 +976,13 @@ class Engine:
         self.diagnostics.extend(message for _args, _t, message in sorted(ties))
 
     def _compute_sd_fluent(self, name: str):
-        state, plans = self._state, self._plans[HOLDS_FOR].get(name, [])
+        state, per_args = self._state, {}
         floor, touched = self._dirty_from(name)
-        per_args: dict[tuple, dict] = {}
-        for value, (sources, fits, evaluate) in plans:
-            for args, dirty in self._sd_groundings(name, sources, fits, floor, touched):
-                fresh = evaluate(args, dirty)
-                if fresh is not None:
-                    slot = per_args.setdefault(args, {})
-                    slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
+        state.dirty, state.live = floor, touched
+        for value, plan in self._plans[HOLDS_FOR].get(name, []):
+            for args, fresh in plan():
+                slot = per_args.setdefault(args, {})
+                slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
         # the last query's result before each grounding's dirty-from time
         # carries over; its part at or before the window start is the retained
         # prefix
@@ -998,25 +1001,6 @@ class Engine:
                     result[value] = ilist
             if result:
                 state.derived.setdefault(name, {})[args] = result
-
-    def _sd_groundings(self, name: str, sources: list, fits: Callable, floor: int,
-                       touched: dict) -> list[tuple]:
-        """(args, dirty-from time) of the groundings from the keys of the
-        sparsest source with content from their dirty-from time on, else of
-        all."""
-        grounded = self._grounded.get(name, set())
-        if not sources:
-            return [(args, touched.get(args, floor)) for args in grounded if fits(args)]
-        rows, intervals, arity, to_head, to_key = min(sources, key=lambda src: len(src[0]()))
-        out = []
-        for key in rows():
-            if len(key) == arity:
-                args = to_head(key)
-                if args in grounded and to_key(args) == key:
-                    ilist, dirty = intervals(key), touched.get(args, floor)
-                    if ilist and (ilist[-1][1] is OPEN or ilist[-1][1] > dirty):
-                        out.append((args, dirty))
-        return out
 
     def _compute_events(self, name: str):
         """The last query's occurrences before the dirty-from time carry over;
@@ -1131,7 +1115,7 @@ class _PlanSource:
     rule text reaches the source, which is the same for rules alike in shape."""
 
     def __init__(self, state: _QueryState):
-        self.params, self.values = ["state", "iv", "E"], [state, iv, _NONE]
+        self.params, self.values = ["state", "iv", "E", "cut"], [state, iv, _NONE, _cut]
         self.vars: dict = {}  # rule variable -> its local
         self.fetched: list[str] = []  # locals set where first needed, None before
         self.lines: list[str] = []
@@ -1170,6 +1154,10 @@ class _PlanSource:
         key = _tuple_text([self.term(terms[pos]) for pos in keyed])
         if len(keyed) == len(terms):
             self.add(f"if ({at} := {key}) in {local}:")
+        elif not keyed:
+            self.add(f"for {at} in {local}:")
+            self.add(f"if len({at}) == {len(terms)}:")
+            self.bind(at, terms)
         else:
             index = self.fetch(index_for((len(terms), tuple(keyed))))
             self.add(f"for {at} in {index}.get({key}, ()):")

@@ -256,6 +256,15 @@ class EventDescription:
         return self.levels.get(("event", name), 0)
 
 
+def all_pairs(ed: EventDescription) -> list[tuple]:
+    """Every grounded pair tuple any composite entity ranges over, sorted."""
+    pairs = set()
+    for name, expr in ed.groundings.items():
+        if expr.shape == "pairs":
+            pairs.update(ed.grounded_tuples(name))
+    return sorted(pairs)
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -821,9 +830,11 @@ def join_order(rule: Rule, head_bound: bool = False) -> list[Literal]:
     return order
 
 
-def _point_rule_errors(rule: Rule) -> Iterator[str]:
+def _point_rule_errors(rule: Rule, grounded: bool) -> Iterator[str]:
     """Why the body of an initiatedAt, terminatedAt or happensAt rule cannot be
-    evaluated in any join order."""
+    evaluated in any join order, or, unless the head is `grounded` (validate
+    requires a fluent's grounding apart), leaves a head variable free with
+    nothing to range over."""
     order = join_order(rule)
     bound = {t for lit in order for t in terms_of(lit) + (getattr(lit, "time", None),)}
     if len(order) < len(rule.body):
@@ -831,6 +842,10 @@ def _point_rule_errors(rule: Rule) -> Iterator[str]:
         yield f"no binding reaches {unreached} in the rule for {rule.head}"
     elif rule.head_var not in bound:
         yield f"time variable {rule.head_var!r} is not bound in the rule for {rule.head}"
+    elif not grounded:
+        for t in dict.fromkeys(a for a in rule.head.args if is_var(a) and a not in bound):
+            yield (f"head variable {t!r} is bound by no literal in the rule for {rule.head}, "
+                   f"and {rule.head.name!r} has no grounding for it to range over")
 
 
 def _holds_for_errors(rule: Rule) -> Iterator[str]:
@@ -919,8 +934,14 @@ def validate(ed: EventDescription) -> list[Diagnostic]:
         if rule.kind == HOLDS_FOR:
             problems = _holds_for_errors(rule)
         else:
-            problems = () if has_constructs else _point_rule_errors(rule)
+            problems = () if has_constructs else _point_rule_errors(
+                rule, rule.kind != HAPPENS or rule.head.name in ed.groundings)
         out.extend(Diagnostic("error", message, rule.line) for message in problems)
+    for name, expr in ed.groundings.items():
+        decl, width = ed.declarations.get(name), 1 if expr.shape == "set" else 2
+        if decl and decl.arity != width:
+            out.append(Diagnostic("error", f"{name!r} has arity {decl.arity}, but its grounding "
+                                  f"{expr} gives tuples of length {width}"))
     defined = {r.head.name for r in ed.rules
                if isinstance(r.head, FluentValue) and not ed.is_input(r.head.name)}
     for name in sorted(defined):

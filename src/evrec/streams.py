@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .engine import RecognitionResult, ResultEntry, record_occurrence
-from .language import EventDescription
+from .language import EventDescription, all_pairs
 
 
 class StreamFormatError(ValueError):
@@ -470,8 +470,6 @@ def engine_input(ed: EventDescription, records: Sequence[InputRecord],
     from the records, and the records with each coordinate sample, with every
     update or retract of its id, replaced by the closeness records of the
     pairs `ed` grounds, appended at the end."""
-    from .bench import all_pairs  # here: bench loads a process pool, which `import evrec` need not
-
     ed = fill_auto_domains(ed, records)
     coord_ids = {r.id for r in records if r.kind == "coord"}
     out = [r for r in records if r.id not in coord_ids]

@@ -56,6 +56,21 @@ UNEVALUABLE = {name: (DECLARATIONS + rule + "\n", says) for name, (rule, says) i
 # at the first query that reaches it
 ENTITY_COMPARED = DECLARATIONS + "initiatedAt(f(X) = true, T) <- happensAt(e(X), T), X < 3.\n"
 
+# A name the engine could give no grounding, so no output, and what validate
+# says about it.
+UNGROUNDED = {
+    "grounding shorter than the arity": (
+        DECLARATIONS.replace("sd fluent h/1", "sd fluent h/2")
+        + "holdsFor(h(X, Y) = true, I) <- holdsFor(g(X) = true, I1), holdsFor(g(Y) = true, I2), "
+        "intersect_all([I1, I2], I).\n",
+        "'h' has arity 2, but its grounding ent gives tuples of length 1",
+    ),
+    "event head variable left free": (
+        DECLARATIONS + "event echo/2\nhappensAt(echo(X, Y), T) <- happensAt(e(X), T).\n",
+        "head variable 'Y' is bound by no literal in the rule for echo(X, Y)",
+    ),
+}
+
 # every pack above, by name
 BY_NAME = {"entity compared": ENTITY_COMPARED,
-           **{name: text for name, (text, _says) in UNEVALUABLE.items()}}
+           **{name: text for name, (text, _says) in (UNEVALUABLE | UNGROUNDED).items()}}

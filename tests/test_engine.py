@@ -333,14 +333,25 @@ event echo/2
 simple fluent self/1
 simple fluent tagged/2
 simple fluent fan/2
+sd fluent pinned/2
+sd fluent loop/1
+sd fluent any/1
 ground self over ent
 ground tagged over pairs(ent)
 ground fan over pairs(ent)
+ground pinned over pairs(ent)
+ground loop over ent
+ground any over ent
 initiatedAt(self(X) = true, T) <- happensAt(ping(X, X), T).
 initiatedAt(tagged(X, d) = true, T) <- happensAt(up(X), T), holdsAt(near(X, d) = true, T).
 initiatedAt(fan(X, Y) = true, T) <- happensAt(up(X), T).
 happensAt(echo(X, qi), T) <- happensAt(ping(X, Y), T), Y != X.
 terminatedAt(fan(X, Y) = true, T) <- happensAt(echo(Y, qi), T).
+holdsFor(pinned(X, d) = true, I) <- holdsFor(near(X, d) = true, I1),
+    holdsFor(tagged(X, d) = true, I2), intersect_all([I1, I2], I).
+holdsFor(loop(X) = true, I) <- holdsFor(near(X, X) = true, I).
+holdsFor(any(X) = true, I) <- holdsFor(near(X, d) = true, I1), holdsFor(self(X) = true, I2),
+    union_all([I1, I2], I), X != qi.
 """
 
 
@@ -350,7 +361,8 @@ def test_constants_repeated_and_free_head_variables(wm, step):
     assert not [d for d in diagnostics if d.severity == "error"]
     recs = [ev(1, "ping", ("lo", "lo"), 3), ev(2, "ping", ("lo", "qi"), 4),
             fl(3, "near", ("out", "d"), 2, 9), ev(4, "up", ("out",), 5), ev(5, "up", ("d",), 6),
-            ev(6, "ping", ("d", "lo"), 12)]
+            ev(6, "ping", ("d", "lo"), 12), fl(7, "near", ("lo", "lo"), 3, 7),
+            fl(8, "near", ("qi", "d"), 1, 5)]
     cfg = EngineConfig(wm=wm, step=step)
     engine, scratch = Engine(ed, cfg), Engine(ed, cfg)
     for qi in range(step, 41, step):
@@ -362,9 +374,12 @@ def test_constants_repeated_and_free_head_variables(wm, step):
     want = {("fan", ("out", "d"), 6, 12), ("fan", ("out", "lo"), 6, None),
             ("fan", ("out", "qi"), 6, None), ("fan", ("d", "lo"), 7, None),
             ("fan", ("d", "qi"), 7, None), ("fan", ("d", "out"), 7, None),
-            ("self", ("lo",), 4, None), ("tagged", ("out", "d"), 6, None)}
-    if wm == 20:  # it ended before this window
-        want.discard(("fan", ("out", "d"), 6, 12))
+            ("self", ("lo",), 4, None), ("tagged", ("out", "d"), 6, None),
+            ("any", ("lo",), 4, None), ("any", ("out",), 2, 9), ("loop", ("lo",), 3, 7),
+            ("pinned", ("out", "d"), 6, 9)}
+    if wm == 20:  # they ended before this window
+        want -= {("fan", ("out", "d"), 6, 12), ("any", ("out",), 2, 9), ("loop", ("lo",), 3, 7),
+                 ("pinned", ("out", "d"), 6, 9)}
     assert {(e.name, e.args, e.start, e.end) for e in res.entries} == want
 
 
@@ -374,7 +389,8 @@ def test_plan_source_holds_no_rule_text():
     renamed = {"lo": "p", "qi": "q", "d": "r", "out": "s", "X": "Who", "Y": "Whom",
                "T": "When", "true": "yes", "ent": "thing", "ping": "knock", "up": "rise",
                "near": "by", "echo": "answer", "self": "own", "tagged": "marked",
-               "fan": "spread"}
+               "fan": "spread", "pinned": "held", "loop": "ring", "any": "some", "I": "Span",
+               "I1": "Span1", "I2": "Span2"}
     pattern = re.compile(r"\b(" + "|".join(renamed) + r")\b")
     twin = pattern.sub(lambda m: renamed[m.group(1)], SHAPES_PACK)
     assert twin != SHAPES_PACK

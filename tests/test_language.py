@@ -181,6 +181,14 @@ def test_load_reports_a_rule_the_engine_cannot_evaluate_with_its_line(name):
     assert says in errors[0].message
 
 
+@pytest.mark.parametrize("name", sorted(packs.UNGROUNDED))
+def test_validate_reports_a_name_the_engine_cannot_ground(name):
+    text, says = packs.UNGROUNDED[name]
+    _ed, diagnostics = lang.load(text)
+    errors = [d.message for d in diagnostics if d.severity == "error"]
+    assert len(errors) == 1 and says in errors[0]
+
+
 def test_validate_flags_simple_with_holds_for():
     text = (
         "input fluent a/1\nsimple fluent f/1\n"
