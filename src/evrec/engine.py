@@ -8,21 +8,22 @@ stratification level.
 
 Work follows what changed, per grounding.  The store records, per input key
 (name, arguments), the earliest time the input applied at this query changes
-it.  A grounding's dirty-from time d is the time just after the last query,
-or the earliest change before that to a key its rules read, but not before the
+it.  A grounding's dirty-from time d is the time just after the last query, or
+the earliest change before that to a key its rules read, but not before the
 window start; a key reaches the groundings whose head variables it binds in
 some input literal of their rules.  The point index hands a rule only the
 input points at the window start and in [d, Qi], so rules are solved only
 there.  A simple fluent solves its initiations from the shared d for all
-groundings, and once more over the groundings with an earlier d that some
-rule can still initiate there, each from its own d, which the solve binds
-with the grounding.  It carries each grounding's intervals and initiations
-before its d, and rebuilds its chain from d on only for groundings with a
-fresh initiation or termination or one that holds into d; a grounding whose
-state at the window start changed is rebuilt from the window start, from the
-start of an interval crossing it.  A statically determined fluent carries
-each grounding's intervals before its d, whose part before the window start
-is the retained prefix, and amalgamates them with a fresh result from d.  A
+groundings, and once more over the groundings with an earlier d, each from its
+own d, which the solve binds with the grounding; there each initiation's plan
+first tests that the grounding's content in each input literal over exactly
+the head's variables reaches its d.  It carries each grounding's intervals and
+initiations before its d, and rebuilds its chain from d on only for groundings
+with a fresh initiation or termination or one that holds into d; a grounding
+whose state at the window start changed is rebuilt from the window start, from
+the start of an interval crossing it.  A statically determined fluent carries
+each grounding's intervals before its d, whose part before the window start is
+the retained prefix, and amalgamates them with a fresh result from d.  A
 derived event takes the earliest d of any grounding.  The first point of the
 window is always evaluated again, because forgetting cuts input intervals
 there.  A rule that reads a derived fluent or event, or input at a time other
@@ -488,8 +489,9 @@ class _QueryState:
         self.dirty = 0  # the least dirty-from time of the solve running
         self.derived: dict[str, dict] = {}  # name -> args -> value -> intervals
         self.events: dict[str, dict] = {}  # name -> args -> times of a derived event
-        # grounding -> its own d: those a plan over live groundings runs over, or
-        # for a holdsFor plan those whose d is not state.dirty
+        # grounding -> its own d: those a plan over live groundings, a
+        # termination's or a touched initiation's, runs over, or for a
+        # holdsFor plan those whose d is not state.dirty
         self.live: dict[tuple, int] = {}
         self.indexes: dict[tuple, dict] = {}  # emptied after each solve and scheduled item
 
@@ -516,9 +518,10 @@ class Engine:
         self._prev_derived: dict[str, dict] = {}  # the last query's state.derived
         self._prev_events: dict[str, dict] = {}  # the last query's state.events
         self._starts: dict[str, dict] = {}  # name -> args -> value -> initiations in window
-        # the last query's answers hold up to this time; minus infinity makes
-        # the next query evaluate everything from the window start
-        self.answered_to = 0
+        # the last query's answers hold up to this time; minus infinity, as
+        # before the first query, makes the next one evaluate everything
+        # from the window start
+        self.answered_to = -math.inf
         self._d0 = 0  # this query's dirty-from time for what read no earlier change
         self._late: dict[tuple, int] = {}  # input key -> its change time, if before _d0
         self._touched: dict[tuple, tuple] = {}  # this query's _dirty_from by reads
@@ -539,7 +542,7 @@ class Engine:
         self._plans: dict = {kind: {} for kind in
                              (INITIATED, TERMINATED, HOLDS_FOR, HAPPENS, "over")}
         whole = {rule.head.name for rule in ed.rules if _reuses_nothing(rule, ed.is_input)}
-        reach, reads = {}, {name: set() for name in heads - whole}
+        reads = {name: set() for name in heads - whole}
         for rule in ed.rules:
             plan = self._compile_sd(rule) if rule.kind == HOLDS_FOR else self._compile_point(rule)
             name, value = rule.head.name, getattr(rule.head, "value", None)
@@ -549,14 +552,10 @@ class Engine:
             if rule.kind == INITIATED:
                 self._plans["over"].setdefault(name, []).append(
                     (value, self._compile_point(rule, over_live=True)))
-                reach.setdefault(name, {})[_reach(rule, ed.is_input)] = None
             for lit in rule.body:
                 if isinstance(lit, (HappensAt, HoldsAt, HoldsFor)) and ed.is_input(
                         read_by(lit).name):
                     reads[name].add(_pattern(rule.head.args, read_by(lit)))
-        # name -> the distinct `_reach` of its initiations, with builders
-        self._reach = {name: [[(fluent, value, _builder(parts)) for fluent, value, parts in lits]
-                              for lits in distinct] for name, distinct in reach.items()}
         # name -> (the input its rules read, as `_pattern`s, and its grounding,
         # which validate requires of a fluent, or None for an event), or None
         # if it reuses nothing; names alike share `_dirty_from`'s answer
@@ -669,8 +668,18 @@ class Engine:
         if over_live:
             # a grounding with neither an initiation nor a kept start cannot
             # hold, so only the live ones need their terminations; an
-            # initiation is solved over given groundings from their own d
+            # initiation is solved over given groundings from their own d, and
+            # only over those whose content reaches d in each input literal
+            # over exactly the head's variables (an end point fires at d
+            # itself); its solutions at the window start are the plain plan's
+            reach = _reach(rule, self.ed.is_input) if rule.kind == INITIATED else []
+            contents = [src.fetch(self._fluent(fv)[0]) for fv in reach]
             src.add("for a, d in state.live.items():")
+            at = _first_positions(head)
+            for content, fv in zip(contents, reach):
+                key = "a" if fv.args == head else _tuple_text(
+                    [f"a[{at[t]}]" if is_var(t) else src.param(t) for t in fv.args])
+                src.reaches(f"{content}.get({key}, E).get({src.param(fv.value)})", ">= d")
             src.bind("a", head)
         for lit in join_order(rule, over_live):
             self._literal(src, lit)
@@ -745,28 +754,28 @@ class Engine:
         dirty-from time e, its state.live entry or else d, on.  The groundings
         come from the rows of the first required holdsFor literal over exactly
         the head's variables that also have content reaching past e, else
-        from the declared grounding."""
+        from the declared grounding.  The comparisons, which read only head
+        variables, are tested as soon as a grounding is drawn."""
         name, head, src = rule.head.name, rule.head.args, _PlanSource(self._state)
         grounded, required = self._grounded.get(name, set()), _required_literals(rule)
-        source = next((lit for lit in required if _first_positions(lit.fluent.args).keys()
-                       == _first_positions(head).keys()), None)
+        source = next((lit for lit in required if _over_head(lit.fluent, head)), None)
         if source is None:
             domain = lambda: grounded  # noqa: E731
             _rows, args = src.join(domain, _cached_index(domain, name, self._domain_indexes), head)
-            src.add(f"e = state.live.get({args}, d)", False)
         else:
             rows, at = src.join(*self._fluent(source.fluent), source.fluent.args)
             args = "h"
             src.add(f"if (h := {_tuple_text([src.term(a) for a in head])}) in "
                     f"{src.param(grounded, 'g')}:")
-            src.add("e = state.live.get(h, d)", False)
-            # constant time, where cutting would walk the whole list
-            src.add(f"if (s := {rows}[{at}].get({src.param(source.fluent.value)})) and "
-                    "(s[-1][1] is None or s[-1][1] > e):")
-        local = {}  # interval variable -> its local
         for lit in rule.body:
             if isinstance(lit, Comparison):
                 self._literal(src, lit)
+        src.add(f"e = state.live.get({args}, d)", False)
+        if source is not None:
+            src.reaches(f"{rows}[{at}].get({src.param(source.fluent.value)})", "> e")
+        local = {}  # interval variable -> its local
+        for lit in rule.body:
+            if isinstance(lit, Comparison):
                 continue
             var = lit.interval if isinstance(lit, HoldsFor) else lit.out
             out = local.setdefault(var, f"i{len(local)}")
@@ -849,7 +858,8 @@ class Engine:
         inits, terms = self._plans[INITIATED].get(name, []), self._plans[TERMINATED].get(name, [])
         floor, touched = self._dirty_from(name)
         fresh = self._solve(inits, floor)
-        self._initiated_since(name, touched, fresh)
+        if touched:  # each touched grounding's initiations from its own d
+            self._solve(self._plans["over"].get(name, []), touched, fresh)
         self._break_ties(name, fresh)
         last, last_starts = self._prev_derived.get(name, _NONE), self._starts.get(name, _NONE)
         starts, chains, live = {}, [], {}
@@ -907,24 +917,6 @@ class Engine:
             self._solve(terms, {args: lo for args, _st, _chain in rebuilt}, ended)
             for args, st, chain in rebuilt:
                 self._settle(name, args, st, chain, lo, ended)
-
-    def _initiated_since(self, name: str, touched: dict, fresh: dict):
-        """Add to `fresh` each touched grounding's initiations from its own
-        dirty-from time on.  The rules are solved over the touched groundings
-        for which some rule has content reaching that time in each of its
-        input literals over exactly the head's variables (`_reach`)."""
-        content, cut = self._state.store.content, {}
-        for args, d in touched.items():
-            for reach in self._reach.get(name, ()):
-                for fluent, value, key in reach:
-                    ilist = content.get(fluent, _NONE).get(key(args), _NONE).get(value)
-                    if not ilist or ilist[-1][1] is not OPEN and ilist[-1][1] < d:
-                        break
-                else:
-                    cut[args] = d
-                    break
-        if cut:
-            self._solve(self._plans["over"][name], cut, fresh)
 
     def _settle(self, name: str, args: tuple, st: dict, chain: dict, since: int, ended: dict):
         """Set a grounding's intervals: the carried ones before `since`, then
@@ -1100,14 +1092,6 @@ def _cached_index(rows: Callable, tag, indexes: dict) -> Callable:
     return index_for
 
 
-def _builder(parts: list) -> Callable:
-    """A function from a sequence (a slot list or a grounding) to a tuple
-    with one item per part: (index, _) reads the sequence, (None, c) is c."""
-    if any(index is None for index, _c in parts) or len(parts) < 2:
-        return lambda seq: tuple([c if index is None else seq[index] for index, c in parts])
-    return itemgetter(*(index for index, _c in parts))
-
-
 class _PlanSource:
     """A point rule's plan being generated: its text, and the values of its
     factory's parameters.  Rule variables are the locals v0, v1, ... in the
@@ -1136,6 +1120,12 @@ class _PlanSource:
         """Add a line, and with `inside` put the lines after it inside it."""
         self.lines.append("    " * self.depth + text)
         self.depth += inside
+
+    def reaches(self, ilist: str, test: str):
+        """Open a test that the intervals `ilist` are there and their last
+        end, OPEN or `test` (such as ">= d"), reaches a time: constant time,
+        where cutting would walk the whole list."""
+        self.add(f"if (s := {ilist}) and (s[-1][1] is None or s[-1][1] {test}):")
 
     def fetch(self, make: Callable) -> str:
         """A local holding make(), called once per run, where first needed."""
@@ -1211,16 +1201,18 @@ def _reuses_nothing(rule: Rule, is_input: Callable) -> bool:
                for lit in rule.body if isinstance(lit, (HappensAt, HoldsAt, HoldsFor)))
 
 
-def _reach(rule: Rule, is_input: Callable) -> tuple:
-    """(input fluent, value, `_builder` parts of its arguments over a head
-    grounding) of each body literal of a point rule over exactly the head's
-    variables: a grounding whose content there ends before a time has no
-    solution from that time on."""
-    head = _first_positions(rule.head.args)
-    return tuple((fv.name, fv.value, tuple((head.get(t), t) for t in fv.args))
-                 for fv in [read_by(lit) for lit in rule.body if not isinstance(lit, Comparison)]
-                 if isinstance(fv, FluentValue) and is_input(fv.name)
-                 and {t for t in fv.args if is_var(t)} == head.keys())
+def _over_head(fv: FluentValue, head: tuple) -> bool:
+    """Whether a literal's fluent ranges over exactly the head's variables, so
+    that its content at a grounding bounds where the rule can hold for it."""
+    return _first_positions(fv.args).keys() == _first_positions(head).keys()
+
+
+def _reach(rule: Rule, is_input: Callable) -> list[FluentValue]:
+    """The input fluents a point rule reads over exactly the head's
+    variables: a grounding whose content in one of them ends before a time
+    has no solution from that time on."""
+    return [fv for fv in [read_by(lit) for lit in rule.body if not isinstance(lit, Comparison)]
+            if isinstance(fv, FluentValue) and is_input(fv.name) and _over_head(fv, rule.head.args)]
 
 
 def _pattern(head: tuple, read) -> tuple:

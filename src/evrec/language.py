@@ -190,6 +190,7 @@ class DomainExpr:
 
     shape: str  # "set" | "pairs"
     domain: str
+    line: int = field(default=0, compare=False)  # of its `ground` declaration
 
     def __str__(self) -> str:
         return self.domain if self.shape == "set" else f"pairs({self.domain})"
@@ -409,7 +410,7 @@ class _Parser:
         ed.domains[name.text] = tuple(members)
 
     def _grounding(self, ed: EventDescription):
-        self.next()
+        line = self.next().line
         name = self._name_token()
         self.expect("over")
         tok = self._name_token()
@@ -417,9 +418,9 @@ class _Parser:
             self.expect("(")
             domain = self._name_token().text
             self.expect(")")
-            expr = DomainExpr("pairs", domain)
+            expr = DomainExpr("pairs", domain, line)
         else:
-            expr = DomainExpr("set", tok.text)
+            expr = DomainExpr("set", tok.text, line)
         if name.text in ed.groundings:
             self.fail(f"grounding for {name.text!r} declared twice", name)
         ed.groundings[name.text] = expr
@@ -620,50 +621,27 @@ class _Parser:
     # -- declaration checking ------------------------------------------------
 
     def _check_references(self, ed: EventDescription):
-        def check_fluent(fv: FluentValue, line: int):
-            decl = ed.declarations.get(fv.name)
-            if decl is None:
-                raise RuleSyntaxError(f"undeclared fluent {fv.name!r}", line, 1)
-            if decl.kind == "input_event":
-                raise RuleSyntaxError(f"{fv.name!r} is an event, not a fluent", line, 1)
-            if len(fv.args) != decl.arity:
-                raise RuleSyntaxError(
-                    f"{fv.name!r} used with {len(fv.args)} arguments, declared /{decl.arity}",
-                    line,
-                    1,
-                )
-
-        def check_event(ev: EventPattern, line: int):
-            decl = ed.declarations.get(ev.name)
-            if decl is None:
-                raise RuleSyntaxError(f"undeclared event {ev.name!r}", line, 1)
-            if decl.kind in ("input_fluent", "simple", "sd"):
-                raise RuleSyntaxError(f"{ev.name!r} is a fluent, not an event", line, 1)
-            if len(ev.args) != decl.arity:
-                raise RuleSyntaxError(
-                    f"{ev.name!r} used with {len(ev.args)} arguments, declared /{decl.arity}",
-                    line,
-                    1,
-                )
-
+        """Each fluent or event a rule defines or reads is declared as that,
+        with its arity, and each grounding names a declared name and domain."""
+        noun = {"event": "an event", "fluent": "a fluent"}
         for rule in ed.rules:
-            if isinstance(rule.head, FluentValue):
-                check_fluent(rule.head, rule.line)
-            else:
-                check_event(rule.head, rule.line)
-            for lit in rule.body:
-                if isinstance(lit, HappensAt):
-                    if isinstance(lit.event, BoundaryEvent):
-                        check_fluent(lit.event.fluent, rule.line)
-                    else:
-                        check_event(lit.event, rule.line)
-                elif isinstance(lit, (HoldsAt, HoldsFor)):
-                    check_fluent(lit.fluent, rule.line)
+            for item in (rule.head, *_reads(rule)):
+                what, decl = _node_of(item)[0], ed.declarations.get(item.name)
+                if decl is None:
+                    raise RuleSyntaxError(f"undeclared {what} {item.name!r}", rule.line, 1)
+                declared = "event" if decl.kind.endswith("event") else "fluent"
+                if declared != what:
+                    raise RuleSyntaxError(f"{item.name!r} is {noun[declared]}, not {noun[what]}",
+                                          rule.line, 1)
+                if len(item.args) != decl.arity:
+                    raise RuleSyntaxError(f"{item.name!r} used with {len(item.args)} arguments, "
+                                          f"declared /{decl.arity}", rule.line, 1)
         for name, expr in ed.groundings.items():
             if name not in ed.declarations:
-                raise RuleSyntaxError(f"grounding for undeclared name {name!r}", 1, 1)
+                raise RuleSyntaxError(f"grounding for undeclared name {name!r}", expr.line, 1)
             if expr.domain not in ed.domains:
-                raise RuleSyntaxError(f"grounding refers to unknown domain {expr.domain!r}", 1, 1)
+                raise RuleSyntaxError(f"grounding refers to unknown domain {expr.domain!r}",
+                                      expr.line, 1)
 
 
 def _expand_iff(head: FluentValue, groups: list, negated: list, line: int) -> Rule:
@@ -741,15 +719,9 @@ def _node_of(item: Union[FluentValue, EventPattern]) -> tuple:
     return ("fluent" if isinstance(item, FluentValue) else "event", item.name)
 
 
-def _body_nodes(rule: Rule) -> Iterator[tuple]:
-    for lit in rule.body:
-        if isinstance(lit, HappensAt):
-            if isinstance(lit.event, BoundaryEvent):
-                yield _node_of(lit.event.fluent)
-            else:
-                yield _node_of(lit.event)
-        elif isinstance(lit, (HoldsAt, HoldsFor)):
-            yield _node_of(lit.fluent)
+def _reads(rule: Rule) -> list[Union[FluentValue, EventPattern]]:
+    """What each holdsAt, holdsFor and happensAt literal of a rule reads."""
+    return [read_by(lit) for lit in rule.body if isinstance(lit, (HappensAt, HoldsAt, HoldsFor))]
 
 
 def stratify(ed: EventDescription) -> EventDescription:
@@ -763,7 +735,7 @@ def stratify(ed: EventDescription) -> EventDescription:
     deps: dict[tuple, set[tuple]] = {}
     for rule in ed.rules:
         head = _node_of(rule.head)
-        deps.setdefault(head, set()).update(_body_nodes(rule))
+        deps.setdefault(head, set()).update(map(_node_of, _reads(rule)))
     for node in {n for node_deps in deps.values() for n in node_deps}:
         deps.setdefault(node, set())
     try:
@@ -941,12 +913,15 @@ def validate(ed: EventDescription) -> list[Diagnostic]:
         decl, width = ed.declarations.get(name), 1 if expr.shape == "set" else 2
         if decl and decl.arity != width:
             out.append(Diagnostic("error", f"{name!r} has arity {decl.arity}, but its grounding "
-                                  f"{expr} gives tuples of length {width}"))
-    defined = {r.head.name for r in ed.rules
-               if isinstance(r.head, FluentValue) and not ed.is_input(r.head.name)}
-    for name in sorted(defined):
+                                  f"{expr} gives tuples of length {width}", expr.line))
+    # each defined fluent, by the line of its first rule
+    defined = {}
+    for r in ed.rules:
+        if isinstance(r.head, FluentValue) and not ed.is_input(r.head.name):
+            defined.setdefault(r.head.name, r.line)
+    for name, line in sorted(defined.items()):
         if name not in ed.groundings:
-            out.append(Diagnostic("error", f"no grounding domain declared for {name!r}"))
+            out.append(Diagnostic("error", f"no grounding domain declared for {name!r}", line))
         if ed.kind_of(name) == "simple" and not ed.rules_for(INITIATED, name):
             out.append(Diagnostic("warning", f"simple fluent {name!r} has no initiating rule"))
     return out

@@ -403,6 +403,85 @@ def test_plan_source_holds_no_rule_text():
     assert sources[0] == sources[1]
 
 
+
+def test_holds_for_comparisons_are_tested_before_any_conjunct():
+    # `any` writes X != qi last, but it reads only a head variable
+    ed, _ = lang.load(SHAPES_PACK)
+    source = Engine(ed, EngineConfig(wm=40, step=40))._plans["holdsFor"]["any"][0][1].source
+    assert re.search(r"if c\d+\(v0, k\d+\):", source).start() < source.index("cut(")
+
+
+def replay_against_scratch(text, recs, wm, step, last_q) -> list:
+    """Query an engine on the rule pack `text` every step up to last_q, each
+    record ingested at its arrival, and check every answer against a twin's
+    evaluated from the window start.  Returns the engine's results."""
+    ed, diagnostics = lang.load(text)
+    assert not [d for d in diagnostics if d.severity == "error"]
+    cfg = EngineConfig(wm=wm, step=step)
+    engine, scratch, results = Engine(ed, cfg), Engine(ed, cfg), []
+    for qi in range(step, last_q + 1, step):
+        for eng in (engine, scratch):
+            eng.ingest([r for r in recs if qi - step < record_arrival(r) <= qi])
+        scratch.answered_to = -math.inf
+        results.append(engine.query(qi))
+        assert results[-1].entries == scratch.query(qi).entries, f"query {qi} from scratch"
+    return results
+
+
+REACH_DECLARATIONS = """domain ent = {a, b}
+input event up/1
+input fluent g/1
+input fluent near/2
+simple fluent f/1
+ground f over ent
+"""
+
+
+def test_a_late_initiation_reads_a_constant_in_its_reach_literal():
+    # near(X, d) is over exactly the head's variables; the late near(a, d)
+    # reaches a's own time, while b's near(b, d) ends before the late up(b)
+    text = REACH_DECLARATIONS + (
+        "initiatedAt(f(X) = true, T) <- happensAt(up(X), T), holdsAt(near(X, d) = true, T).\n")
+    recs = [ev(1, "up", ("a",), 15), fl(2, "near", ("a", "d"), 12, 30, arrival=25),
+            fl(3, "near", ("b", "d"), 2, 8), ev(4, "up", ("b",), 16, arrival=25),
+            fl(5, "near", ("b", "c"), 10, 30)]
+    results = replay_against_scratch(text, recs, 30, 10, 40)
+    assert {(e.name, e.args, e.start, e.end) for e in results[2].entries} == {
+        ("f", ("a",), 16, OPEN)}
+
+
+def test_an_end_point_initiates_at_exactly_the_grounding_s_own_time():
+    # retracting g(a)'s second part at q=30 moves its end to 12, the time the
+    # retract changed it from, so f(a) is initiated there and holds from 13
+    text = REACH_DECLARATIONS + "initiatedAt(f(X) = true, T) <- happensAt(end(g(X) = true), T).\n"
+    recs = [fl(1, "g", ("a",), 5, 12), fl(2, "g", ("a",), 12, 18),
+            InputRecord(id="f2", action="retract", arrival=30)]
+    results = replay_against_scratch(text, recs, 30, 10, 30)
+    assert [(e.args, e.start, e.end) for e in results[1].entries] == [(("a",), 19, OPEN)]
+    assert [(e.args, e.start, e.end) for e in results[2].entries] == [(("a",), 13, OPEN)]
+
+
+def test_a_late_record_for_a_fluent_without_initiations():
+    # validate only warns about h, which a late up(a) touches
+    text = REACH_DECLARATIONS + (
+        "simple fluent h/1\nground h over ent\n"
+        "initiatedAt(f(X) = true, T) <- happensAt(up(X), T).\n"
+        "terminatedAt(h(X) = true, T) <- happensAt(up(X), T).\n")
+    results = replay_against_scratch(text, [ev(1, "up", ("a",), 12, arrival=25)], 30, 10, 40)
+    assert [(e.name, e.args, e.start) for e in results[-1].entries] == [("f", ("a",), 13)]
+
+
+def test_the_first_query_takes_no_record_as_late():
+    # nothing is answered before the first query, so records at time 0 are
+    # not late there, and no index over the groundings is built to find
+    # the groundings they touch
+    engine = Engine(surveillance("p1", "p2"), EngineConfig(wm=20, step=10))
+    engine.ingest([fl(1, "walking", ("p1",), 0, 30), fl(2, "walking", ("p2",), 0, 30),
+                   fl(3, "close", ("p1", "p2"), 0, 30), fl(4, "close", ("p2", "p1"), 0, 30)])
+    assert {(e.name, e.args, e.start) for e in engine.query(10).entries} >= {
+        ("moving", ("p1", "p2"), 1), ("moving_sd", ("p1", "p2"), 0)}
+    assert engine._domain_indexes == {}
+
 def test_sd_prefix_amalgamation_is_seamless():
     ed = surveillance("p1", "p2")
     recs = [

@@ -79,6 +79,49 @@ def test_event_used_as_fluent_rejected():
         )
 
 
+
+@pytest.mark.parametrize("kind", ["input event", "event"])
+def test_an_event_read_as_a_fluent_is_reported_with_its_line(kind):
+    text = (f"{kind} ev/1\nsimple fluent f/1\ninput event e/1\n\n"
+            "initiatedAt(f(X) = true, T) <- happensAt(e(X), T), holdsAt(ev(X) = true, T).\n")
+    with pytest.raises(RuleSyntaxError, match=r"'ev' is an event, not a fluent \(line 5,"):
+        lang.parse(text)
+
+
+def test_a_fluent_read_as_an_event_is_reported_with_its_line():
+    text = "input fluent g/1\nevent ev/1\n\nhappensAt(ev(X), T) <- happensAt(g(X), T).\n"
+    with pytest.raises(RuleSyntaxError, match=r"'g' is a fluent, not an event \(line 4,"):
+        lang.parse(text)
+
+
+GROUNDED = "domain ent = {a}\ninput event e/1\nsimple fluent f/1\n"
+
+
+@pytest.mark.parametrize("line, says", [
+    ("ground zz over ent", "grounding for undeclared name 'zz'"),
+    ("ground f over nowhere", "grounding refers to unknown domain 'nowhere'"),
+])
+def test_a_bad_grounding_is_reported_at_its_line(line, says):
+    with pytest.raises(RuleSyntaxError, match=f"{says} \\(line 6,"):
+        lang.parse(GROUNDED + "\n\n" + line + "\n")
+
+
+def test_a_grounding_of_the_wrong_arity_is_reported_at_its_line():
+    text = GROUNDED.replace("f/1", "f/2") + (
+        "\ninitiatedAt(f(X, Y) = true, T) <- happensAt(e(X), T), happensAt(e(Y), T).\n"
+        "ground f over ent\n")
+    errors = [d for d in lang.load(text)[1] if d.severity == "error"]
+    assert [(d.line, d.message) for d in errors] == [
+        (6, "'f' has arity 2, but its grounding ent gives tuples of length 1")]
+
+
+def test_a_fluent_without_a_grounding_is_reported_at_its_first_rule():
+    text = GROUNDED + ("\ninitiatedAt(f(X) = true, T) <- happensAt(e(X), T).\n"
+                       "terminatedAt(f(X) = true, T) <- happensAt(e(X), T).\n")
+    errors = [d for d in lang.load(text)[1] if d.severity == "error"]
+    assert [(d.line, d.message) for d in errors] == [
+        (5, "no grounding domain declared for 'f'")]
+
 def test_duplicate_declaration_rejected():
     with pytest.raises(RuleSyntaxError):
         lang.parse("input event e/1\ninput event e/1\n")
