@@ -9,6 +9,8 @@ Input schema, one JSON object per line::
      "from": int?, "to": int?,            # durative payload; "to" null = open
      "entity": str?, "x": number?, "y": number?}
 
+An integer id, name or entity is read as its text.
+
 Output schema (`write_results`), one entry per line::
 
     {"name": str, "args": [str], "value": str, "from": int, "to": int|null,
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -37,7 +39,7 @@ class StreamFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputRecord:
     id: str
     action: str = "assert"  # assert | retract | update
@@ -79,20 +81,30 @@ class StreamDocument:
 
 
 def _require(obj: dict, key: str, line: int):
-    if key not in obj or obj[key] is None:
+    value = obj.get(key)
+    if value is None:
         raise StreamFormatError(f"missing field {key!r}", line)
-    return obj[key]
+    return value
 
 
 # Fields are checked by exact type: json.loads gives a JSON true or false as a
 # bool, which isinstance would take for the integer 1 or 0.
 
 
-def _args(obj: dict, line: int) -> tuple:
+def _text(obj: dict, key: str, line: int) -> str:
+    value = _require(obj, key, line)
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise StreamFormatError(f"{key!r} must be a string or an integer", line)
+
+
+def _args(obj: dict, line: int, share) -> tuple:
     args = _require(obj, "args", line)
     if type(args) is not list or not all(type(a) is str or type(a) is int for a in args):
         raise StreamFormatError("'args' must be a list of strings or integers", line)
-    return tuple(args)
+    return tuple([share(a, a) for a in args])
 
 
 def _number(obj: dict, key: str, line: int) -> float:
@@ -108,34 +120,37 @@ def _number(obj: dict, key: str, line: int) -> float:
     return number
 
 
+# A record stores this module's own action and kind strings, not the copies
+# json.loads made, so that every record shares one of each.
+_ACTIONS = {a: a for a in ("assert", "retract", "update")}
+_KINDS = {k: k for k in ("event", "interval", "coord")}
+
+
+def _constant(table: dict, value, what: str, line: int) -> str:
+    if type(value) is not str or value not in table:
+        raise StreamFormatError(f"unknown {what} {value!r}", line)
+    return table[value]
+
+
 def parse_record(obj: dict, line: int = 0) -> InputRecord:
+    return _parse_record(obj, line, {})
+
+
+def _parse_record(obj: dict, line: int, atoms: dict) -> InputRecord:
+    """`parse_record`, with each entity, name, argument and tick replaced by
+    the equal value first put in `atoms`, so that records share it."""
     if not isinstance(obj, dict):
         raise StreamFormatError("record must be a JSON object", line)
-    rec_id = str(_require(obj, "id", line))
-    action = obj.get("action", "assert")
-    if action not in ("assert", "retract", "update"):
-        raise StreamFormatError(f"unknown action {action!r}", line)
+    share = atoms.setdefault
+    rec_id = _text(obj, "id", line)
+    action = _constant(_ACTIONS, obj.get("action", "assert"), "action", line)
     arrival = obj.get("arrival")
     if arrival is not None and (type(arrival) is not int or arrival < 0):
         raise StreamFormatError("arrival must be a non-negative integer", line)
     kind = obj.get("kind", "event") if action == "retract" else _require(obj, "kind", line)
-    if kind not in ("event", "interval", "coord"):
-        raise StreamFormatError(f"unknown record kind {kind!r}", line)
+    kind = _constant(_KINDS, kind, "record kind", line)
     if action == "retract":
         return InputRecord(id=rec_id, action=action, kind=kind, arrival=arrival)
-    if kind == "event":
-        t = _require(obj, "t", line)
-        if type(t) is not int or t < 0:
-            raise StreamFormatError("t must be a non-negative integer", line)
-        return InputRecord(
-            id=rec_id,
-            action=action,
-            kind=kind,
-            name=str(_require(obj, "name", line)),
-            args=_args(obj, line),
-            t=t,
-            arrival=arrival,
-        )
     if kind == "interval":
         start = _require(obj, "from", line)
         end = obj.get("to")
@@ -146,25 +161,39 @@ def parse_record(obj: dict, line: int = 0) -> InputRecord:
         value = _require(obj, "value", line)
         if isinstance(value, (list, dict)):
             raise StreamFormatError("'value' must be a string, number or boolean", line)
+        name = _text(obj, "name", line)
         return InputRecord(
             id=rec_id,
             action=action,
             kind=kind,
-            name=str(_require(obj, "name", line)),
-            args=_args(obj, line),
+            name=share(name, name),
+            args=_args(obj, line, share),
             value=value,
             start=start,
             end=end,
             arrival=arrival,
         )
-    t = _require(obj, "t", line)  # kind "coord"
+    t = _require(obj, "t", line)  # kind "event" or "coord"
     if type(t) is not int or t < 0:
         raise StreamFormatError("t must be a non-negative integer", line)
+    t = share(t, t)
+    if kind == "event":
+        name = _text(obj, "name", line)
+        return InputRecord(
+            id=rec_id,
+            action=action,
+            kind=kind,
+            name=share(name, name),
+            args=_args(obj, line, share),
+            t=t,
+            arrival=arrival,
+        )
+    entity = _text(obj, "entity", line)
     return InputRecord(
         id=rec_id,
         action=action,
         kind=kind,
-        entity=str(_require(obj, "entity", line)),
+        entity=share(entity, entity),
         t=t,
         x=_number(obj, "x", line),
         y=_number(obj, "y", line),
@@ -174,9 +203,11 @@ def parse_record(obj: dict, line: int = 0) -> InputRecord:
 
 def read_stream(path) -> StreamDocument:
     """Parse a JSONL stream file.  Hard schema violations raise with the line
-    number; referential oddities become diagnostics."""
+    number; referential oddities become diagnostics.  Records read from one
+    file share one copy of each entity, name, argument and tick."""
     doc = StreamDocument()
     seen: set[str] = set()
+    atoms: dict = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -190,7 +221,7 @@ def read_stream(path) -> StreamDocument:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise StreamFormatError(f"malformed JSON: {exc.msg}", lineno) from exc
-            rec = parse_record(obj, lineno)
+            rec = _parse_record(obj, lineno, atoms)
             if rec.action == "assert":
                 if rec.id in seen:
                     raise StreamFormatError(f"duplicate id {rec.id!r} on assert", lineno)
@@ -251,7 +282,7 @@ def simulate_delays(records: Sequence[InputRecord], model: DelayModel) -> list[I
         if rec.action != "retract":
             occ = record_occurrence(rec)
             key = (occ + model.sample(rng), occ, rec.id)
-        delayed.append((key, InputRecord(**{**rec.__dict__, "arrival": key[0]})))
+        delayed.append((key, replace(rec, arrival=key[0])))
     delayed.sort(key=itemgetter(0))
     return [rec for _key, rec in delayed]
 

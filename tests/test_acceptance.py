@@ -4,6 +4,7 @@ Criteria 1 to 8 and 11 are exact; 9 and 10 are timing properties on a
 generated desk-scale stream and take a few minutes.
 """
 
+import dataclasses
 import importlib.resources
 import math
 import os
@@ -361,9 +362,7 @@ def test_criterion_07_revision_correctness():
             survivors = [r for r in base if r.id not in revised_ids]
             survivors += [r for r in revision if r.action != "retract"]
             fresh = Engine(ed, EngineConfig(wm=400, step=200))
-            fresh.ingest([
-                InputRecord(**{**r.__dict__, "action": "assert"}) for r in survivors
-            ])
+            fresh.ingest([dataclasses.replace(r, action="assert") for r in survivors])
             fresh_res = fresh.query(200)
             assert entries_by_fluent(fresh_res.entries) == expected
 

@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import pickle
+import random
+import sys
+import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -168,8 +174,6 @@ def test_closeness_symmetric_pairs():
 
 
 def test_closeness_monotone_in_threshold():
-    import random
-
     rng = random.Random(5)
     samples = [
         coord(ent, t, rng.uniform(0, 50), rng.uniform(0, 50))
@@ -344,6 +348,9 @@ MALFORMED = {
     "y infinite": {**COORD, "y": -math.inf},
     "x beyond the float range": {**COORD, "x": 10**400},
     "retract of an unknown kind": {"id": "x", "action": "retract", "kind": "wat"},
+    "id a list": {**EVENT, "id": [1]},
+    "entity an object": {**COORD, "entity": {"p": 1}},
+    "name a list": {**EVENT, "name": ["x"]},
 }
 
 
@@ -361,3 +368,73 @@ def test_parse_keeps_integer_args_and_numeric_coordinates():
     rec = streams.parse_record(COORD)
     assert (rec.x, rec.y) == (1.5, 2.0)
     assert streams.parse_record({**INTERVAL, "value": 4}).value == 4
+    rec = streams.parse_record({**COORD, "id": 5, "entity": 7})
+    assert (rec.id, rec.entity) == ("5", "7")
+
+
+def test_read_stream_keeps_a_sample_small_and_shares_its_atoms(tmp_path):
+    rng = random.Random(3)
+    path = tmp_path / "coords.jsonl"
+    streams.write_stream(
+        (InputRecord(id=f"p{e}-{t}", kind="coord", entity=f"p{e}", t=t,
+                     x=rng.uniform(0, 640), y=rng.uniform(0, 480))
+         for t in range(1000) for e in range(20)),
+        path,
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        doc = streams.read_stream(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(doc.records) == 20_000
+    assert retained / len(doc.records) <= 320
+    first, later = doc.records[0], doc.records[20 * 500]
+    assert first.entity == later.entity and first.entity is later.entity
+    assert first.action is sys.intern("assert")
+
+
+TEXT = st.text(max_size=6)
+ARGS = st.lists(TEXT | st.integers(-5, 10**6), max_size=3).map(tuple)
+TICK = st.integers(0, 10**6)
+
+
+def payload(draw, kind: str) -> dict:
+    if kind == "event":
+        return {"name": draw(TEXT), "args": draw(ARGS), "t": draw(TICK)}
+    if kind == "interval":
+        start = draw(TICK)
+        return {
+            "name": draw(TEXT), "args": draw(ARGS), "start": start,
+            "end": draw(st.none() | st.integers(start + 1, start + 10**6)),
+            "value": draw(TEXT | st.integers() | st.booleans() | st.floats(allow_nan=False)),
+        }
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return {"entity": draw(TEXT), "t": draw(TICK), "x": draw(finite), "y": draw(finite)}
+
+
+@st.composite
+def stream_records(draw):
+    """Records of every kind and action, asserted under distinct ids."""
+    records = []
+    for i, (action, kind) in enumerate(draw(st.lists(st.tuples(
+        st.sampled_from(["assert", "update", "retract"]),
+        st.sampled_from(["event", "interval", "coord"]),
+    ), max_size=8))):
+        fields = {"id": f"{i}{draw(TEXT)}", "action": action, "kind": kind,
+                  "arrival": draw(st.none() | TICK)}
+        if action != "retract":
+            fields.update(payload(draw, kind))
+        records.append(InputRecord(**fields))
+    return records
+
+
+@given(stream_records())
+def test_records_survive_a_stream_file_and_pickling(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.jsonl")
+        streams.write_stream(records, path)
+        assert streams.read_stream(path).records == records
+    for rec in records:
+        assert pickle.loads(pickle.dumps(rec)) == rec
