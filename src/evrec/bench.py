@@ -6,27 +6,19 @@ two-entity groundings are split round-robin across worker processes, each of
 which processes the full stream against its own subset; single-entity
 composite entities are computed everywhere but reported from the first shard
 only, so the merged output has no duplicates.
-
-The window sizes of one benchmark run side by side, each in worker processes
-of its own, and take turns query time by query time: every size answers its
-query at Q1, then every size its query at Q2, and so on.  A host whose speed
-drifts over seconds thus slows every size alike, and each size keeps its own
-heap and collector, as in a process that runs that size alone.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import statistics
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .engine import (ConfigError, Engine, EngineConfig, RecognitionResult, ResultEntry,
-                     query_batches, run_stream, select_reported)
+from .engine import (ConfigError, EngineConfig, RecognitionResult, ResultEntry, run_stream,
+                     select_reported)
 from .language import EventDescription, all_pairs
 
 
@@ -67,21 +59,6 @@ def partition_pairs(pairs: list[tuple], shards: int) -> list[set[tuple]]:
     return [set(pairs[i::shards]) for i in range(shards)]
 
 
-def _shard_filters(ed: EventDescription, shards: int) -> list:
-    """Each shard's pair filter: [None] for one shard, else the pair
-    groundings split round-robin, over at most as many shards as pairs."""
-    if shards < 1:
-        raise ConfigError(f"shards must be at least 1, got {shards}")
-    pairs = all_pairs(ed)
-    if shards > max(1, len(pairs)):
-        warnings.warn(
-            f"requested {shards} shards for {len(pairs)} pair groundings; "
-            f"using {max(1, len(pairs))}"
-        )
-        shards = max(1, len(pairs))
-    return [None] if shards == 1 else partition_pairs(pairs, shards)
-
-
 def _shard_task(args):
     ed, cfg, records, pair_filter, keep_unary, last_q = args
     timings: list[float] = []
@@ -109,13 +86,21 @@ def run_sharded(
     Returns merged per-query results and the effective per-query latencies
     (the slowest shard at each query, since shards run in parallel).
     """
-    filters = _shard_filters(ed, shards)
-    if filters == [None]:
+    if shards < 1:
+        raise ConfigError(f"shards must be at least 1, got {shards}")
+    pairs = all_pairs(ed)
+    if shards > max(1, len(pairs)):
+        warnings.warn(
+            f"requested {shards} shards for {len(pairs)} pair groundings; "
+            f"using {max(1, len(pairs))}"
+        )
+        shards = max(1, len(pairs))
+    if shards == 1:
         timings: list[float] = []
         _engine, results = run_stream(ed, cfg, records, last_q=last_q, timings=timings)
         return results, timings
 
-    shards = len(filters)
+    filters = partition_pairs(pairs, shards)
     tasks = [
         (ed, cfg, records, filters[i], i == 0, last_q) for i in range(shards)
     ]
@@ -136,34 +121,6 @@ def run_sharded(
     return merged, latencies
 
 
-def _timed_turns(conn, ed, cfg, records, pair_filter, parent_ends):
-    """A benchmark worker: one engine over the whole stream, one query per
-    turn.  Each message from `conn` starts a turn, answered with the query's
-    milliseconds, with None once the stream is done, or with the exception
-    that ended the run.  The worker closes its copies of the benchmark's own
-    ends of every pipe, so that it, and any worker started before it, reads
-    the end of input once the benchmark closes its end."""
-    for end in parent_ends:
-        end.close()
-    try:
-        conn.recv()
-        engine, results = Engine(ed, cfg, pair_filter=pair_filter), []
-        for qi, batch in query_batches(cfg, records):
-            if batch:
-                engine.ingest(batch)
-            t0 = time.perf_counter()
-            results.append(engine.query(qi))
-            conn.send((time.perf_counter() - t0) * 1000.0)
-            conn.recv()
-        conn.send(None)
-    except EOFError:
-        pass  # the benchmark stopped before this worker's stream was done
-    except Exception as exc:
-        conn.send(exc)
-    finally:
-        conn.close()
-
-
 def benchmark(
     ed: EventDescription,
     records: list,
@@ -172,58 +129,21 @@ def benchmark(
     shards: int = 1,
     tick_ms: int = 40,
 ) -> list[BenchReport]:
-    """Per-query latency statistics of each window size in `wms`.
-
-    Every size runs in `shards` worker processes of its own, and the sizes
-    take turns query by query (see the module docstring); a query's latency
-    is its slowest shard's, since shards run in parallel."""
     if tick_ms <= 0:
         raise ConfigError("tick_ms must be positive")
-    filters = _shard_filters(ed, shards)
-    cfgs = [EngineConfig(wm=wm, step=step) for wm in wms]
-    sizes = []  # per window size: its config, its workers' links, its latencies
-    try:
-        for cfg in cfgs:
-            links = []
-            sizes.append((cfg, links, []))
-            for pair_filter in filters:
-                here, there = multiprocessing.Pipe()
-                ends = [end for _cfg, started, _l in sizes for end, _w in started]
-                worker = multiprocessing.Process(
-                    target=_timed_turns,
-                    args=(there, ed, cfg, records, pair_filter, ends + [here]),
-                )
-                worker.start()
-                there.close()
-                links.append((here, worker))
-        running = list(sizes)
-        while running:
-            for size in list(running):
-                _cfg, links, latencies = size
-                for here, _worker in links:
-                    here.send(True)
-                answers = [here.recv() for here, _worker in links]
-                for answer in answers:
-                    if isinstance(answer, Exception):
-                        raise answer
-                if answers[0] is None:
-                    running.remove(size)
-                else:
-                    latencies.append(max(answers))
-    finally:
-        for _cfg, links, _latencies in sizes:
-            for here, worker in links:
-                here.close()
-                worker.join()
+    if shards < 1:
+        raise ConfigError(f"shards must be at least 1, got {shards}")
     reports = []
-    for cfg, _links, latencies in sizes:
+    for wm in wms:
+        cfg = EngineConfig(wm=wm, step=step)
+        _results, latencies = run_sharded(ed, cfg, records, shards)
         if not latencies:
             continue
         avg = statistics.fmean(latencies)
         p95 = sorted(latencies)[max(0, math.ceil(0.95 * len(latencies)) - 1)]
         reports.append(
             BenchReport(
-                wm=cfg.wm,
+                wm=wm,
                 step=step,
                 shards=shards,
                 avg_ms=avg,

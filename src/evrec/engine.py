@@ -1284,20 +1284,6 @@ def run_stream(
     import time as _time
 
     engine = Engine(ed, cfg, pair_filter=pair_filter)
-    results = []
-    for qi, batch in query_batches(cfg, records, last_q):
-        if batch:
-            engine.ingest(batch)
-        t0 = _time.perf_counter()
-        results.append(engine.query(qi))
-        if timings is not None:
-            timings.append((_time.perf_counter() - t0) * 1000.0)
-    return engine, results
-
-
-def query_batches(cfg: EngineConfig, records: list, last_q: Optional[int] = None):
-    """The schedule `run_stream` feeds: each query time, with the records that
-    arrive after the previous one and by it, in arrival order."""
     # a retract has no occurrence time: one without an arrival arrives with
     # the record before it, and the sort is stable on arrival alone
     arrivals, prev = [], 0
@@ -1311,14 +1297,21 @@ def query_batches(cfg: EngineConfig, records: list, last_q: Optional[int] = None
             (max(arrival, _content_end(r)) for arrival, r in ordered), default=0
         )
         last_q = cfg.step * math.ceil((horizon + cfg.wm) / cfg.step)
+    results = []
     idx = 0
     qi = cfg.step
     while qi <= last_q:
         lo = idx
         while idx < len(ordered) and ordered[idx][0] <= qi:
             idx += 1
-        yield qi, [rec for _arrival, rec in ordered[lo:idx]]
+        if idx > lo:
+            engine.ingest(rec for _arrival, rec in ordered[lo:idx])
+        t0 = _time.perf_counter()
+        results.append(engine.query(qi))
+        if timings is not None:
+            timings.append((_time.perf_counter() - t0) * 1000.0)
         qi += cfg.step
+    return engine, results
 
 
 def _content_end(rec) -> int:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from evrec import bench, cli, generator, language, streams
-from evrec.engine import ConfigError, EngineConfig, EvaluationError
+from evrec.engine import ConfigError, EngineConfig
 
 import packs
 
@@ -168,32 +168,6 @@ def test_bench_functions_reject_fewer_than_one_shard():
         bench.run_sharded(ed, EngineConfig(wm=10, step=10), [], 0)
     with pytest.raises(ConfigError):
         bench.benchmark(ed, [], [10], 10, shards=-1)
-
-
-def test_benchmark_reports_each_size_in_order_over_shards(tmp_path):
-    stream = tmp_path / "s.jsonl"
-    streams.write_stream(generator.generate(generator.GenSpec(entities=4, duration=200, seed=2)),
-                         stream)
-    ed, records = cli._prepare(RULES, str(stream), 25.0)
-    for shards in (1, 2):
-        reports = bench.benchmark(ed, records, [100, 50, 25], 25, shards=shards)
-        assert [(r.wm, r.step, r.shards) for r in reports] == [
-            (100, 25, shards), (50, 25, shards), (25, 25, shards)]
-        assert all(0 < r.avg_ms <= r.p95_ms <= r.max_ms and r.realtime for r in reports)
-
-
-def test_benchmark_raises_the_error_that_ends_a_worker():
-    # no literal binds Later, so every worker's Engine refuses the pack
-    ed, _ = language.load("""domain entity = {a, b}
-input event appear/1
-simple fluent seen/1
-ground seen over entity
-initiatedAt(seen(P) = true, T) <-
-    happensAt(appear(P), T),
-    T > Later.
-""")
-    with pytest.raises(EvaluationError, match="no binding reaches T > Later"):
-        bench.benchmark(ed, [], [10, 20], 10)
 
 
 def test_sharded_runs_report_what_one_shard_reports_in_each_mode(tmp_path):
