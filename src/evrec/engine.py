@@ -17,11 +17,12 @@ there.  A simple fluent solves its initiations from the shared d for all
 groundings, and once more over the groundings with an earlier d, each from its
 own d, which the solve binds with the grounding; there each initiation's plan
 first tests that the grounding's content in each input literal over exactly
-the head's variables reaches its d.  It carries each grounding's intervals and
-initiations before its d, and rebuilds its chain from d on only for groundings
-with a fresh initiation or termination or one that holds into d; a grounding
-whose state at the window start changed is rebuilt from the window start, from
-the start of an interval crossing it.  A statically determined fluent carries
+the head's variables reaches its d.  It carries each grounding's initiations
+and terminations before its d, and makes its intervals in one run over the
+window from them, the fresh ones and the start of its last interval holding at
+the window start or ending there; terminations are solved from the window
+start instead where that interval ends there, or a value neither held nor
+initiated there is initiated there.  A statically determined fluent carries
 each grounding's intervals before its d, whose part before the window start is
 the retained prefix, and amalgamates them with a fresh result from d.  A
 derived event takes the earliest d of any grounding.  The first point of the
@@ -46,10 +47,10 @@ over the rows of its first required input over the head's variables, or over
 its grounding, then its conjuncts in body order.  The plans rely on
 validate's checks and repeat none of them; only an ordering comparison on
 non-integer values, which depends on the data, fails at query time.
-Terminations are evaluated only for groundings that hold into the part being
-rebuilt or have an initiation there, and a holdsFor rule only for groundings
-whose source row has content from their time on, each from its own
-dirty-from time in one run (see README.md).
+Terminations are evaluated only for groundings that can hold from their
+dirty-from time on, and a holdsFor rule only for groundings whose source row
+has content from their time on, each from its own dirty-from time in one run
+(see README.md).
 
 One engine instance is single-threaded; scale-out is by running independent
 instances over disjoint groundings, each fed the complete stream.
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -169,6 +169,20 @@ def _carried(ilist: IntervalList, lo: int, since: int) -> IntervalList:
             break
         if e >= lo:
             out.append((s, e))
+    return out
+
+
+def _joined(carried: dict, lo: int, since: int, fresh: dict) -> dict:
+    """value -> the sorted times in (lo, since) of `carried` and those of `fresh`."""
+    out = {}
+    for value, ts in carried.items():
+        if not (lo < ts[0] and ts[-1] < since):
+            ts = [t for t in ts if lo < t < since]
+        if ts:
+            out[value] = ts
+    for value, ts in fresh.items():
+        if ts:
+            out[value] = sorted(ts.union(out.get(value, ())))
     return out
 
 
@@ -518,6 +532,7 @@ class Engine:
         self._prev_derived: dict[str, dict] = {}  # the last query's state.derived
         self._prev_events: dict[str, dict] = {}  # the last query's state.events
         self._starts: dict[str, dict] = {}  # name -> args -> value -> initiations in window
+        self._ends: dict[str, dict] = {}  # name -> args -> value -> terminations solved in window
         # the last query's answers hold up to this time; minus infinity, as
         # before the first query, makes the next one evaluate everything
         # from the window start
@@ -530,13 +545,13 @@ class Engine:
         self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
 
         heads = {r.head.name for r in ed.rules}
-        self._grounded: dict[str, set[tuple]] = {}
-        for name in heads:
-            tuples = set(ed.grounded_tuples(name))
-            decl = ed.declarations.get(name)
-            if pair_filter is not None and decl and decl.arity == 2:
-                tuples &= pair_filter
-            self._grounded[name] = tuples
+        self._grounded: dict = {}  # DomainExpr -> its tuples, one set per grounding
+        for name, expr in ed.groundings.items():
+            if name in heads and expr not in self._grounded:
+                tuples = set(ed.grounded_tuples(name))
+                if pair_filter is not None and expr.shape == "pairs":
+                    tuples &= pair_filter
+                self._grounded[expr] = tuples
 
         # "over": each initiation that reuses, solved over the live groundings
         self._plans: dict = {kind: {} for kind in
@@ -683,13 +698,14 @@ class Engine:
             src.bind("a", head)
         for lit in join_order(rule, over_live):
             self._literal(src, lit)
-        grounded = self._grounded.get(name, set())
+        expr = self.ed.groundings.get(name)
+        grounded = self._grounded.get(expr, set())
         free = any(is_var(a) and a not in src.vars for a in head)
         if free:
             # the body leaves head variables free: the rule fires for every
             # grounding that matches the bound part
             domain = lambda: grounded  # noqa: E731
-            src.join(domain, _cached_index(domain, name, self._domain_indexes), head)
+            src.join(domain, _cached_index(domain, expr, self._domain_indexes), head)
         args = _tuple_text([src.term(a) for a in head])
         if not free and not over_live and name in self.ed.groundings:
             src.add(f"if {args} in {src.param(grounded, 'g')}:")
@@ -757,11 +773,12 @@ class Engine:
         from the declared grounding.  The comparisons, which read only head
         variables, are tested as soon as a grounding is drawn."""
         name, head, src = rule.head.name, rule.head.args, _PlanSource(self._state)
-        grounded, required = self._grounded.get(name, set()), _required_literals(rule)
+        expr, required = self.ed.groundings.get(name), _required_literals(rule)
+        grounded = self._grounded.get(expr, set())
         source = next((lit for lit in required if _over_head(lit.fluent, head)), None)
         if source is None:
             domain = lambda: grounded  # noqa: E731
-            _rows, args = src.join(domain, _cached_index(domain, name, self._domain_indexes), head)
+            _rows, args = src.join(domain, _cached_index(domain, expr, self._domain_indexes), head)
         else:
             rows, at = src.join(*self._fluent(source.fluent), source.fluent.args)
             args = "h"
@@ -829,14 +846,14 @@ class Engine:
         if not self._late:
             return d0, _NONE
         if reads not in self._touched:
-            (patterns, grounding), floor, touched = reads, d0, {}
-            index_for = _cached_index(lambda: self._grounded[name], grounding, self._domain_indexes)
+            (patterns, expr), floor, touched = reads, d0, {}
+            index_for = _cached_index(lambda: self._grounded[expr], expr, self._domain_indexes)
             for (read, key), t in self._late.items():
                 for pattern_read, arity, at, shape in patterns:
                     if pattern_read != read or arity != len(key):
                         continue
                     t = max(t, lo)
-                    if grounding is None:
+                    if expr is None:
                         floor = min(floor, t)
                         continue
                     for args in index_for(shape)().get(tuple([key[p] for p in at]), ()):
@@ -846,13 +863,14 @@ class Engine:
         return self._touched[reads]
 
     def _compute_simple_fluent(self, name: str):
-        """Each grounding has its own dirty-from time d (`_dirty_from`).  Its
-        intervals and initiations before d carry over, and its chain is
-        rebuilt from d on: from whether it holds or is initiated at d-1, and its
-        initiations and terminations from d.  A grounding for which the window
-        start changes whether it holds there, or whether it holds or is
-        initiated there, is rebuilt from the window start instead, with the
-        start of an interval crossing it kept."""
+        """Each grounding has its own dirty-from time d (`_dirty_from`).  Each
+        value's intervals are made in one run from the start s0 of the last
+        query's interval holding at lo or ending there, as if initiated at
+        s0 - 1, the initiations and terminations in (lo, d) carried over, and
+        those at lo and from d on solved.  Groundings that can hold from d on
+        get terminations, from lo where they may hold in (lo, d) with none
+        solved there: (a) that interval ends at lo, whose end forgetting may
+        drop, or (b) a value neither held nor initiated at lo is initiated there."""
         state = self._state
         lo, qi = state.lo, state.qi
         inits, terms = self._plans[INITIATED].get(name, []), self._plans[TERMINATED].get(name, [])
@@ -862,9 +880,10 @@ class Engine:
             self._solve(self._plans["over"].get(name, []), touched, fresh)
         self._break_ties(name, fresh)
         last, last_starts = self._prev_derived.get(name, _NONE), self._starts.get(name, _NONE)
-        starts, chains, live = {}, [], {}
+        last_ends = self._ends.get(name, _NONE)
+        starts, ends, rebuilt, live = {}, {}, [], {}
         for args in last.keys() | last_starts.keys() | fresh.keys():
-            old, ivs, st = last_starts.get(args, _NONE), last.get(args, _NONE), {}
+            old, ivs = last_starts.get(args, _NONE), last.get(args, _NONE)
             dirty = touched.get(args, floor)
             if args not in fresh and all(
                     lo < ts[0] and ts[-1] < dirty - 1 for ts in old.values()) and all(
@@ -875,76 +894,35 @@ class Engine:
                     starts[args] = old
                 if ivs:
                     state.derived.setdefault(name, {})[args] = ivs
+                if args in last_ends and (carried := _joined(last_ends[args], lo, dirty, _NONE)):
+                    ends[args] = carried
                 continue
-            for value, ts in old.items():
-                if not (lo < ts[0] and ts[-1] < dirty):
-                    ts = [t for t in ts if lo < t < dirty]
-                st[value] = ts
-            for value, ts in fresh.get(args, _NONE).items():
-                st[value] = sorted(ts.union(st.get(value, ())))
-            st = {value: ts for value, ts in st.items() if ts}
-            chain = {}
-            for value in st.keys() | ivs.keys():
-                ilist, ts = ivs.get(value, []), st.get(value, [])
-                part = _carried(ilist, lo, dirty)
-                held = bool(part) and part[0][0] <= lo < part[0][1] if dirty > lo else iv.holds_at(
-                    ilist, lo)
-                kept = held or bool(part) and part[0][0] < lo
-                pending = bool(part) and part[-1][1] == dirty or (
-                    dirty - 1 in ts if dirty > lo else held)
-                if kept or pending or ts and ts[-1] >= dirty:
-                    live[args] = dirty
-                chain[value] = (ilist, ts, part, pending, held, kept, lo in old.get(value, ()))
+            st, kept, since = _joined(old, lo, dirty, fresh.get(args, _NONE)), {}, dirty
+            for value, ilist in ivs.items():
+                if part := _carried(ilist, lo, lo + 1):  # holding at lo or ending there
+                    kept[value] = [part[0][0] - 1]
+                    if part[0][1] == lo:  # (a)
+                        since = lo
+            if any(ts[0] == lo and lo not in old.get(value, ()) and not iv.holds_at(
+                    ivs.get(value, ()), lo) for value, ts in st.items()):  # (b)
+                since = lo
+            if since < dirty or kept or any(ts[-1] >= dirty - 1 for ts in st.values()) or any(
+                    il[-1][1] is OPEN or il[-1][1] >= dirty for il in ivs.values()):
+                live[args] = since
             if st:
                 starts[args] = st
-            chains.append((args, dirty, st, chain))
-        self._starts[name] = starts
-        # terminations of the live groundings, each from its own d
-        ended, rebuilt = self._solve(terms, live), []
-        for args, dirty, st, chain in chains:
-            ends = ended.get(args, _NONE)
-            for value, (_il, ts, _part, _pe, held, kept, was_initiated) in chain.items():
-                broken = lo in ends.get(value, ()) or any(
-                    other != value and ots[0] == lo for other, ots in st.items())
-                holds = kept and not broken
-                initiated = ts[:1] == [lo]
-                if dirty > lo and (holds != held or (holds or initiated) != (held or was_initiated)):
-                    rebuilt.append((args, st, chain))
-                    break
-            else:
-                self._settle(name, args, st, chain, dirty, ended)
-        if rebuilt:
-            self._solve(terms, {args: lo for args, _st, _chain in rebuilt}, ended)
-            for args, st, chain in rebuilt:
-                self._settle(name, args, st, chain, lo, ended)
-
-    def _settle(self, name: str, args: tuple, st: dict, chain: dict, since: int, ended: dict):
-        """Set a grounding's intervals: the carried ones before `since`, then
-        its chain from there; from the window start, with the start of an
-        interval crossing it kept."""
-        state, result, ends = self._state, {}, ended.get(args, _NONE)
-        for value, (ilist, ts, part, pending, _held, kept, _was) in chain.items():
-            if since == state.lo:
-                part, pending = _carried(ilist, since, since), kept
-            later, breaks = ts[bisect_left(ts, since):], []
-            if later or pending:
-                breaks = [t for t in ends.get(value, ()) if t >= since]
-                for other, ots in st.items():
-                    if other != value:
-                        breaks += ots[bisect_left(ots, since):]
-            if later or (pending and breaks):
-                starts = [since - 1] * pending + later
-                tail = iv.make_intervals(starts, sorted(set(breaks)), now=state.qi)
-                ilist = iv.amalgamate(part, tail)
-            elif pending:
-                ilist = _reopen(part, since - 1) if part and part[-1][1] == since else (
-                    part + [(since, OPEN)])
-            else:
-                ilist = part
-            if ilist:
-                result[value] = ilist
-        if result:
-            state.derived.setdefault(name, {})[args] = result
+            rebuilt.append((args, since, st, kept))
+        self._starts[name], self._ends[name] = starts, ends
+        ended = self._solve(terms, live)
+        for args, since, st, kept in rebuilt:
+            if en := _joined(last_ends.get(args, _NONE), lo, since, ended.get(args, _NONE)):
+                ends[args] = en
+            for value in st.keys() | kept.keys():
+                others = [t for v, ts in st.items() if v != value for t in ts]
+                breaks = sorted({*en.get(value, ()), *others}) if others else en.get(value, [])
+                ilist = iv.make_intervals(kept.get(value, []) + st.get(value, []), breaks, qi)
+                if ilist:
+                    state.derived.setdefault(name, {}).setdefault(args, {})[value] = ilist
 
     def _break_ties(self, name: str, fresh: dict):
         """Simultaneous initiations of two values: the first-declared value

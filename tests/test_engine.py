@@ -301,6 +301,25 @@ def test_pair_filter_restricts_groundings():
     assert {a for _n, a in part_pairs} == {("p1", "p2")}
 
 
+def test_names_over_one_grounding_share_its_tuples():
+    # the pair names all range over pairs(entity): one set of tuples, cut to
+    # the pair filter once, which every plan over a pair name tests against
+    ed = surveillance("p1", "p2", "p3")
+    pairs = set(itertools.permutations(("p1", "p2", "p3"), 2))
+    for pair_filter in (None, {("p1", "p2"), ("p3", "p1")}):
+        engine = Engine(ed, EngineConfig(wm=20, step=10), pair_filter=pair_filter)
+        shared = engine._grounded[ed.groundings["moving"]]
+        assert shared == (pairs if pair_filter is None else pair_filter)
+        for name in ("moving_sd", "leaving_object"):
+            assert engine._grounded[ed.groundings[name]] is shared
+        assert engine._grounded[ed.groundings["person"]] == {("p1",), ("p2",), ("p3",)}
+        assert len(engine._grounded) == 2
+        for kind, name in (("initiatedAt", "moving"), ("holdsFor", "moving_sd"),
+                           ("initiatedAt", "leaving_object")):
+            for _value, plan in engine._plans[kind][name]:
+                assert any(cell.cell_contents is shared for cell in plan.__closure__)
+
+
 def test_unbound_head_variable_grounds_over_domain():
     # disappear(obj) terminates leaving_object(P, obj) for every person P
     ed = surveillance("p1", "p2", "obj1")
@@ -603,6 +622,30 @@ def test_grounding_first_live_at_the_window_start_is_terminated_in_the_reused_ra
     assert [(r.q, e.start, e.end) for r in results for e in r.entries] == [(30, 12, 15)]
 
 
+def test_grounding_whose_interval_ends_at_the_window_start_is_terminated_in_the_reused_range():
+    # f(x) holds from 26 until close ends at 31.  At q=50 it is carried as it
+    # is, so the stop at 45 is never solved.  At q=60 the window starts at 31,
+    # where forgetting drops close's end: f holds on from 26 until the stop
+    # at 45, which lies before 51, from where q=60 evaluates
+    text = (
+        "input fluent a/1\ninput fluent close/1\ninput event stop/1\n"
+        "simple fluent f/1\nground f over ent\ndomain ent = {x}\n"
+        "initiatedAt(f(X) = true, T) <- happensAt(start(a(X) = true), T).\n"
+        "terminatedAt(f(X) = true, T) <- happensAt(end(close(X) = true), T).\n"
+        "terminatedAt(f(X) = true, T) <- happensAt(stop(X), T).\n"
+    )
+    ed, _ = lang.load(text)
+    recs = [
+        InputRecord(id="a", kind="interval", name="a", args=("x",), value="true", start=25, end=28),
+        InputRecord(id="c", kind="interval", name="close", args=("x",), value="true", start=5,
+                    end=31),
+        InputRecord(id="s", kind="event", name="stop", args=("x",), t=45),
+    ]
+    _eng, results = run_stream(ed, EngineConfig(wm=30, step=10), recs, last_q=60)
+    assert [(r.q, e.start, e.end) for r in results for e in r.entries] == [
+        (30, 26, OPEN), (40, 26, 31), (50, 26, 31), (60, 26, 45)]
+
+
 def test_a_rule_reading_a_second_time_reuses_nothing():
     # f(x) reads b before its own time, g(x) reads d after it.  At q=30 the
     # dirty-from time is 21: f's b at 12 lies before it, and g's solution at
@@ -664,20 +707,33 @@ def test_update_moves_an_end_back_into_the_reused_range():
 
 
 def test_state_stays_inside_the_window_on_a_long_stream():
-    # every carried initiation, indexed point, interval and stored item lies
-    # after the window start, but for intervals that cross it
+    # every carried initiation, termination, indexed point, interval and
+    # stored item lies after the window start, but for intervals that cross
+    # it.  In the second stream person(p1) is terminated at t + 4,
+    # re-initiated at t + 17 and terminated again at t + 19, and a disappear
+    # at t + 13 ends nothing: at q = t + 30 the grounding is carried as it is,
+    # while the termination at t + 13 has left the window
     ed = surveillance("p1", "p2")
-    recs, wm = [], 40
+    long, cycle = [], []
     for k, t in enumerate(range(0, 3000, 30)):
-        recs += [
+        long += [
             fl(4 * k, "walking", ("p1",), t, t + 20),
             fl(4 * k + 1, "walking", ("p2",), t + 5, t + 45),
             fl(4 * k + 2, "close", ("p1", "p2"), t + 3, t + 18),
             fl(4 * k + 3, "running", ("p2",), t + 10, t + 12),
             ev(k, "disappear", ("p1",), t + 25),
         ]
+        cycle += [
+            fl(2 * k, "walking", ("p1",), t, t + 3),
+            fl(2 * k + 1, "running", ("p1",), t + 17, t + 18),
+            *(ev(3 * k + i, "disappear", ("p1",), t + dt) for i, dt in enumerate((4, 13, 19))),
+        ]
+    for recs, wm in ((long, 40), (cycle, 15)):
+        assert_state_stays_inside_the_window(ed, sorted(recs, key=record_occurrence), wm)
+
+
+def assert_state_stays_inside_the_window(ed, recs, wm):
     engine = Engine(ed, EngineConfig(wm=wm, step=10))
-    recs.sort(key=record_occurrence)
     idx = 0
     for qi in range(10, 3100, 10):
         while idx < len(recs) and record_occurrence(recs[idx]) <= qi:
@@ -687,7 +743,7 @@ def test_state_stays_inside_the_window_on_a_long_stream():
         b = qi - wm
         assert engine.store.min_content() is None or engine.store.min_content() > b
         assert all(t > b for at in engine.store.at.values() for t in at)
-        for per_args in engine._starts.values():
+        for per_args in [*engine._starts.values(), *engine._ends.values()]:
             assert all(t > b for per_value in per_args.values()
                        for ts in per_value.values() for t in ts)
         for per_value in engine.prev_cache.values():
