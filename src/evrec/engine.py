@@ -15,21 +15,22 @@ some input literal of their rules.  The point index hands a rule only the
 input points at the window start and in [d, Qi], so rules are solved only
 there.  A simple fluent solves its initiations from the shared d for all
 groundings, and once more over the groundings with an earlier d, each from its
-own d, which the solve binds with the grounding; there each initiation's plan
-first tests that the grounding's content in each input literal over exactly
-the head's variables reaches its d.  It carries each grounding's initiations
-and terminations before its d, and makes its intervals in one run over the
-window from them, the fresh ones and the start of its last interval holding at
-the window start or ending there; terminations are solved from the window
-start instead where that interval ends there, or a value neither held nor
-initiated there is initiated there.  A statically determined fluent carries
-each grounding's intervals before its d, whose part before the window start is
-the retained prefix, and amalgamates them with a fresh result from d.  A
-derived event takes the earliest d of any grounding.  The first point of the
-window is always evaluated again, because forgetting cuts input intervals
-there.  A rule that reads a derived fluent or event, or input at a time other
-than its head's, reuses nothing and makes its name evaluate from the window
-start; `Engine.__init__` decides this once per name.
+own d, which the solve binds with the grounding; there a rule runs only where
+the grounding's content reaches its d in each input literal of the rule over
+exactly the head's variables, each such literal tested once per grounding.  It
+carries each grounding's initiations and terminations before its d, and makes
+its intervals in one run over the window from them, the fresh ones and the
+start of its last interval holding at the window start or ending there;
+terminations are solved from the window start instead where that interval ends
+there, or a value neither held nor initiated there is initiated there.  A
+statically determined fluent carries each grounding's intervals before its d,
+whose part before the window start is the retained prefix, and amalgamates
+them with a fresh result from d.  A derived event takes the earliest d of any
+grounding.  The first point of the window is always evaluated again, because
+forgetting cuts input intervals there.  A rule that reads a derived fluent or
+event, or input at a time other than its head's, reuses nothing and makes its
+name evaluate from the window start; `Engine.__init__` decides this once per
+name.
 
 Upkeep follows the change too.  The store forgets by popping, from a heap
 ordered by start, only the items the window start passes, and re-cuts the
@@ -38,19 +39,20 @@ changing them only where an argument tuple enters or leaves the content.
 Classification keeps a grounding's entries while its intervals equal the
 last query's and the next boundary has not reached one of their endpoints.
 
-`Engine.__init__` refuses a rule pack for which `language.validate` reports
-an error, and compiles each rule of any other once into a plan, a generated
-function whose text is `plan.source`.  A point rule's plan is loops and tests
-in the order `language.join_order` gives, each reading its source through an
-index on the argument positions bound before it; a holdsFor rule's is a loop
-over the rows of its first required input over the head's variables, or over
-its grounding, then its conjuncts in body order.  The plans rely on
-validate's checks and repeat none of them; only an ordering comparison on
-non-integer values, which depends on the data, fails at query time.
-Terminations are evaluated only for groundings that can hold from their
-dirty-from time on, and a holdsFor rule only for groundings whose source row
-has content from their time on, each from its own dirty-from time in one run
-(see README.md).
+`Engine.__init__` refuses a rule pack for which `language.validate` reports an
+error, and compiles the rules of any other once, into one plan per rule kind
+and head name and one more over live groundings for the initiations of each
+name that reuses: a generated function, whose text is `plan.source`, that runs
+each rule's loop nest in turn.  A point rule's nest is loops and tests in the
+order `language.join_order` gives, each reading its source through an index on
+the argument positions bound before it; a holdsFor rule's is a loop over the
+rows of its first required input over the head's variables, or over its
+grounding, then its conjuncts in body order.  The plans rely on validate's
+checks and repeat none of them; only an ordering comparison on non-integer
+values, which depends on the data, fails at query time.  Terminations are
+evaluated only for groundings that can hold from their dirty-from time on, and
+a holdsFor rule only for groundings whose source row has content from their
+time on, each from its own dirty-from time in one run (see README.md).
 
 One engine instance is single-threaded; scale-out is by running independent
 instances over disjoint groundings, each fed the complete stream.
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -173,7 +176,10 @@ def _carried(ilist: IntervalList, lo: int, since: int) -> IntervalList:
 
 
 def _joined(carried: dict, lo: int, since: int, fresh: dict) -> dict:
-    """value -> the sorted times in (lo, since) of `carried` and those of `fresh`."""
+    """value -> the sorted times in (lo, since) of `carried` and those of
+    `fresh`; `carried` itself where that is all of it."""
+    if not fresh and all(lo < ts[0] and ts[-1] < since for ts in carried.values()):
+        return carried
     out = {}
     for value, ts in carried.items():
         if not (lo < ts[0] and ts[-1] < since):
@@ -445,8 +451,7 @@ class SdeStore:
         return out
 
     def event_times(self, name: str, args: tuple) -> list[int]:
-        slot = self.events.get(name, {}).get(args)
-        return sorted(t for t, _ in slot) if slot else []
+        return sorted(t for t, _id in self.events.get(name, _NONE).get(args, ()))
 
     def fluent_intervals(self, name: str, args: tuple, value) -> IntervalList:
         slot = self.durative.get(name, {}).get(args, {}).get(value)
@@ -456,32 +461,20 @@ class SdeStore:
 
     def min_content(self) -> Optional[int]:
         """Earliest stored time-point, for bounded-memory checks."""
-        lo = math.inf
-        for per_args in self.events.values():
-            for slot in per_args.values():
-                for t, _ in slot:
-                    lo = min(lo, t)
-        for per_args in self.durative.values():
-            for per_value in per_args.values():
-                for slot in per_value.values():
-                    for s, _e, _id in slot:
-                        lo = min(lo, s)
-        return None if lo == math.inf else int(lo)
+        events, durative = self.snapshot()
+        return min([t for _name, _args, t in events]
+                   + [ilist[0][0] for ilist in durative.values()], default=None)
 
     def snapshot(self) -> tuple[list, dict]:
         """(events, durative) copy for offline re-evaluation in tests."""
-        events = []
+        events, durative = [], {}
         for name, per_args in self.events.items():
             for args, slot in per_args.items():
                 events.extend((name, args, t) for t, _ in slot)
-        durative = {}
         for name, per_args in self.durative.items():
             for args, per_value in per_args.items():
-                for value, slot in per_value.items():
-                    if slot:
-                        durative[(name, args, value)] = iv.normalize(
-                            [(s, e) for s, e, _ in slot]
-                        )
+                for value in per_value:
+                    durative[(name, args, value)] = self.fluent_intervals(name, args, value)
         return events, durative
 
 
@@ -553,24 +546,22 @@ class Engine:
                     tuples &= pair_filter
                 self._grounded[expr] = tuples
 
-        # "over": each initiation that reuses, solved over the live groundings
+        # kind -> name -> the plan of the name's rules of that kind; "over":
+        # each reusing name's initiations, solved over the live groundings
         self._plans: dict = {kind: {} for kind in
                              (INITIATED, TERMINATED, HOLDS_FOR, HAPPENS, "over")}
         whole = {rule.head.name for rule in ed.rules if _reuses_nothing(rule, ed.is_input)}
+        for kind, name in dict.fromkeys((rule.kind, rule.head.name) for rule in ed.rules):
+            rules = ed.rules_for(kind, name)
+            self._plans[kind][name] = self._compile(rules, kind == TERMINATED)
+            if kind == INITIATED and name not in whole:
+                self._plans["over"][name] = self._compile(rules, over_live=True)
         reads = {name: set() for name in heads - whole}
         for rule in ed.rules:
-            plan = self._compile_sd(rule) if rule.kind == HOLDS_FOR else self._compile_point(rule)
-            name, value = rule.head.name, getattr(rule.head, "value", None)
-            self._plans[rule.kind].setdefault(name, []).append((value, plan))
-            if name in whole:
-                continue
-            if rule.kind == INITIATED:
-                self._plans["over"].setdefault(name, []).append(
-                    (value, self._compile_point(rule, over_live=True)))
-            for lit in rule.body:
+            for lit in rule.body if rule.head.name in reads else ():
                 if isinstance(lit, (HappensAt, HoldsAt, HoldsFor)) and ed.is_input(
                         read_by(lit).name):
-                    reads[name].add(_pattern(rule.head.args, read_by(lit)))
+                    reads[rule.head.name].add(_pattern(rule.head.args, read_by(lit)))
         # name -> (the input its rules read, as `_pattern`s, and its grounding,
         # which validate requires of a fluent, or None for an event), or None
         # if it reuses nothing; names alike share `_dirty_from`'s answer
@@ -605,32 +596,26 @@ class Engine:
             if rec.action == "retract":
                 return
         if rec.kind == "event":
-            if rec.t <= boundary:
-                self.diagnostics.append(
-                    f"record {rec.id!r} occurred at {rec.t}, at or before the window "
-                    f"start {boundary}; dropped"
-                )
-                return
-            if not self.store.add_event(rec.id, rec.name, tuple(rec.args), rec.t):
-                self.diagnostics.append(f"duplicate assert for record id {rec.id!r}; ignored")
+            late = rec.t <= boundary and f"occurred at {rec.t}"
         elif rec.kind == "interval":
-            end = rec.end
-            if end is not OPEN and end <= boundary + 1:
-                self.diagnostics.append(
-                    f"record {rec.id!r} ended at {end}, at or before the window "
-                    f"start {boundary}; dropped"
-                )
-                return
-            ok = self.store.add_interval(
-                rec.id, rec.name, tuple(rec.args), rec.value, rec.start, end
-            )
-            if not ok:
-                self.diagnostics.append(f"duplicate assert for record id {rec.id!r}; ignored")
+            late = rec.end is not OPEN and rec.end <= boundary + 1 and f"ended at {rec.end}"
         else:
             self.diagnostics.append(
                 f"record {rec.id!r} of kind {rec.kind!r} is not an engine input; "
                 "coordinate samples must be preprocessed into closeness fluents"
             )
+            return
+        if late:
+            self.diagnostics.append(
+                f"record {rec.id!r} {late}, at or before the window start {boundary}; dropped")
+            return
+        if rec.kind == "event":
+            added = self.store.add_event(rec.id, rec.name, tuple(rec.args), rec.t)
+        else:
+            added = self.store.add_interval(rec.id, rec.name, tuple(rec.args), rec.value,
+                                            rec.start, rec.end)
+        if not added:
+            self.diagnostics.append(f"duplicate assert for record id {rec.id!r}; ignored")
 
     # -- query ---------------------------------------------------------------
 
@@ -671,31 +656,53 @@ class Engine:
 
     # -- rule plans ----------------------------------------------------------
 
-    def _compile_point(self, rule: Rule, over_live: bool = False) -> Callable[[], list]:
-        """Compile an initiatedAt, terminatedAt or happensAt rule into a plan,
-        a generated function (`_PlanSource`) returning its solutions' (head
-        arguments, T) pairs.  Its `d` is the dirty-from time that a happensAt
-        literal with its time unbound reads: state.dirty, or over live
-        groundings each one's own.  A termination, and with `over_live` any
-        rule, is solved only over the groundings in state.live."""
-        name, head = rule.head.name, rule.head.args
-        over_live, src = over_live or rule.kind == TERMINATED, _PlanSource(self._state)
+    def _compile(self, rules: list[Rule], over_live: bool) -> Callable[[], list]:
+        """Compile a name's rules of one kind into a plan (`_PlanSource`) that
+        runs each rule's loop nest in turn, giving (head arguments, value, T)
+        per solution, or (head arguments, value, intervals) per grounding.
+        With `over_live` it runs them in one loop over state.live, binding the
+        head and d of each grounding."""
+        kind, src = rules[0].kind, _PlanSource(self._state)
+        # A grounding with neither an initiation nor a kept start cannot hold,
+        # so only the live ones need their terminations.  An initiation is
+        # solved over given groundings from their own d, by a rule only where
+        # the grounding's content reaches d in each input literal of the rule
+        # over exactly the head's variables (an end point fires at d itself),
+        # each such literal tested once per grounding; its solutions at the
+        # window start are the plain plan's.
+        reach = [_reach(rule, self.ed.is_input) if over_live and kind == INITIATED else []
+                 for rule in rules]
+        tests = {key: f"r{n}" for n, key in enumerate(dict.fromkeys(itertools.chain(*reach)))}
+        contents = [src.fetch(self._fluent(name)[0]) for name, _value, _at in tests]
         if over_live:
-            # a grounding with neither an initiation nor a kept start cannot
-            # hold, so only the live ones need their terminations; an
-            # initiation is solved over given groundings from their own d, and
-            # only over those whose content reaches d in each input literal
-            # over exactly the head's variables (an end point fires at d
-            # itself); its solutions at the window start are the plain plan's
-            reach = _reach(rule, self.ed.is_input) if rule.kind == INITIATED else []
-            contents = [src.fetch(self._fluent(fv)[0]) for fv in reach]
             src.add("for a, d in state.live.items():")
-            at = _first_positions(head)
-            for content, fv in zip(contents, reach):
-                key = "a" if fv.args == head else _tuple_text(
-                    [f"a[{at[t]}]" if is_var(t) else src.param(t) for t in fv.args])
-                src.reaches(f"{content}.get({key}, E).get({src.param(fv.value)})", ">= d")
-            src.bind("a", head)
+        whole = tuple(range(len(rules[0].head.args)))
+        for ((_name, value, at), local), content in zip(tests.items(), contents):
+            key = "a" if at == whole else _tuple_text(
+                [f"a[{p}]" if isinstance(p, int) else src.param(p[0]) for p in at])
+            test = src.reaches(f"{content}.get({key}, E).get({src.param(value)})", ">= d")
+            src.add(f"{local} = {test}", False)
+        depth = src.depth
+        for rule, keys in zip(rules, reach):
+            src.vars, src.depth = {}, depth
+            if keys:
+                src.add(f"if {' and '.join(dict.fromkeys(tests[key] for key in keys))}:")
+            if over_live:
+                src.bind("a", rule.head.args)
+            if kind == HOLDS_FOR:
+                args, result = self._compile_sd(src, rule)
+            else:
+                args, result = self._compile_point(src, rule, over_live)
+            value = src.param(getattr(rule.head, "value", None))
+            src.add(f"out.append(({args}, {value}, {result}))", False)
+        return src.build(f"<plan of {kind} {rules[0].head.name}, over_live={over_live}>")
+
+    def _compile_point(self, src: _PlanSource, rule: Rule, over_live: bool) -> tuple[str, str]:
+        """Add an initiatedAt, terminatedAt or happensAt rule's loop nest to a
+        plan; the texts of its head arguments and T.  Its `d` is the
+        dirty-from time that a happensAt literal with its time unbound reads:
+        state.dirty, or over live groundings each one's own."""
+        name, head = rule.head.name, rule.head.args
         for lit in join_order(rule, over_live):
             self._literal(src, lit)
         expr = self.ed.groundings.get(name)
@@ -709,8 +716,7 @@ class Engine:
         args = _tuple_text([src.term(a) for a in head])
         if not free and not over_live and name in self.ed.groundings:
             src.add(f"if {args} in {src.param(grounded, 'g')}:")
-        src.add(f"out.append(({args}, {src.term(rule.head_var)}))", False)
-        return src.build(f"<plan of {rule.kind} {rule.head}, line {rule.line}>")
+        return args, src.term(rule.head_var)
 
     def _literal(self, src: _PlanSource, lit):
         """Add the test or loops of one body literal to a plan."""
@@ -720,7 +726,7 @@ class Engine:
             src.add(f"if {src.param(partial(_compare, lit.op), 'c')}({left}, {right}):")
             return
         if isinstance(lit, HoldsAt):
-            rows, index = self._fluent(lit.fluent)
+            rows, index = self._fluent(lit.fluent.name)
             (at, args), value = src.join(rows, index, lit.fluent.args), src.param(lit.fluent.value)
             src.add(f"if iv.holds_at({at}.get({args}, E).get({value}, ()), {src.term(lit.time)}):")
             return
@@ -732,7 +738,7 @@ class Engine:
                 tag = (name, event.which, event.fluent.value)
             rows = partial(_fresh, state, tag)
         elif isinstance(event, BoundaryEvent):
-            rows, value = self._fluent(event.fluent)[0], src.param(event.fluent.value)
+            rows, value = self._fluent(event.fluent.name)[0], src.param(event.fluent.value)
             which = "start_points" if event.which == "start" else "end_points"
             points = f"iv.{which}({{0}}.get({{1}}, E).get({value}, ()))"
         else:
@@ -750,12 +756,12 @@ class Engine:
             src.add(f"for {time} in {points}:")
             src.add(f"if {time} == lo or d <= {time} <= qi:")
 
-    def _fluent(self, fv: FluentValue) -> tuple[Callable, Callable]:
+    def _fluent(self, name: str) -> tuple[Callable, Callable]:
         """rows() of a fluent's argument tuples at this query, each mapped to
         its value -> content dict, and shape -> index(), an index over rows():
         the store keeps those over input, and those over a derived fluent last
         one solve.  Input content may reach past Qi, where evaluation cuts it."""
-        name, state = fv.name, self._state
+        state = self._state
         if self.ed.is_input(name):
             store = state.store
             content = store.content.setdefault(name, {})  # kept for good by the store
@@ -763,16 +769,16 @@ class Engine:
         rows = lambda: state.derived.get(name, _NONE)  # noqa: E731
         return rows, _cached_index(rows, name, state.indexes)
 
-    def _compile_sd(self, rule: Rule) -> Callable[[], list]:
-        """Compile a holdsFor rule into a plan, a generated function
-        (`_PlanSource`) returning (head arguments, intervals) for each
-        grounding whose required conjuncts have content from its own
-        dirty-from time e, its state.live entry or else d, on.  The groundings
-        come from the rows of the first required holdsFor literal over exactly
-        the head's variables that also have content reaching past e, else
-        from the declared grounding.  The comparisons, which read only head
-        variables, are tested as soon as a grounding is drawn."""
-        name, head, src = rule.head.name, rule.head.args, _PlanSource(self._state)
+    def _compile_sd(self, src: _PlanSource, rule: Rule) -> tuple[str, str]:
+        """Add a holdsFor rule's loop nest to a plan; the texts of its head
+        arguments and intervals, for each grounding whose required conjuncts
+        have content from its own dirty-from time e, its state.live entry or
+        else d, on.  The groundings come from the rows of the first required
+        holdsFor literal over exactly the head's variables that also have
+        content reaching past e, else from the declared grounding.  The
+        comparisons, which read only head variables, are tested as soon as a
+        grounding is drawn."""
+        name, head = rule.head.name, rule.head.args
         expr, required = self.ed.groundings.get(name), _required_literals(rule)
         grounded = self._grounded.get(expr, set())
         source = next((lit for lit in required if _over_head(lit.fluent, head)), None)
@@ -780,7 +786,7 @@ class Engine:
             domain = lambda: grounded  # noqa: E731
             _rows, args = src.join(domain, _cached_index(domain, expr, self._domain_indexes), head)
         else:
-            rows, at = src.join(*self._fluent(source.fluent), source.fluent.args)
+            rows, at = src.join(*self._fluent(source.fluent.name), source.fluent.args)
             args = "h"
             src.add(f"if (h := {_tuple_text([src.term(a) for a in head])}) in "
                     f"{src.param(grounded, 'g')}:")
@@ -789,7 +795,8 @@ class Engine:
                 self._literal(src, lit)
         src.add(f"e = state.live.get({args}, d)", False)
         if source is not None:
-            src.reaches(f"{rows}[{at}].get({src.param(source.fluent.value)})", "> e")
+            test = src.reaches(f"{rows}[{at}].get({src.param(source.fluent.value)})", "> e")
+            src.add(f"if {test}:")
         local = {}  # interval variable -> its local
         for lit in rule.body:
             if isinstance(lit, Comparison):
@@ -799,7 +806,7 @@ class Engine:
             if isinstance(lit, HoldsFor):
                 ilist = "s"
                 if lit != source:
-                    rows, fv = src.fetch(self._fluent(lit.fluent)[0]), lit.fluent
+                    rows, fv = src.fetch(self._fluent(lit.fluent.name)[0]), lit.fluent
                     ilist = (f"{rows}.get({_tuple_text([src.term(a) for a in fv.args])}, E)"
                              f".get({src.param(fv.value)}, ())")
                 if lit in required:
@@ -814,23 +821,21 @@ class Engine:
                 combine = "union_all" if isinstance(lit, IntervalUnion) else "intersect_all"
                 src.add(f"{out} = iv.{combine}([{', '.join(local[v] for v in lit.inputs)}])",
                         False)
-        src.add(f"out.append(({args}, {local[rule.head_var]}))", False)
-        return src.build(f"<plan of {rule.kind} {rule.head}, line {rule.line}>")
+        return args, local[rule.head_var]
 
     # -- evaluation ----------------------------------------------------------
 
-    def _solve(self, plans: list, since, out: Optional[dict] = None) -> dict:
-        """Add to `out`, or a new dict, args -> value -> times of the plans'
-        solutions at the window start and from `since` on: one time for all
-        groundings, or a map from each grounding to its own time, which also
-        gives the groundings a plan over live groundings runs over."""
+    def _solve(self, plan: Optional[Callable], since, out: Optional[dict] = None) -> dict:
+        """Add to `out`, or a new dict, args -> value -> times of the solutions
+        of the plan, if any, at the window start and from `since` on: one time
+        for all groundings, or a map from each grounding to its own time,
+        which also gives the groundings a plan over live groundings runs over."""
         state, out = self._state, {} if out is None else out
         if isinstance(since, dict):
             state.live, since = since, min(since.values(), default=state.lo)
         state.dirty = since
-        for value, plan in plans:
-            for args, t in plan():
-                out.setdefault(args, {}).setdefault(value, set()).add(t)
+        for args, value, t in plan() if plan else ():
+            out.setdefault(args, {}).setdefault(value, set()).add(t)
         state.indexes.clear()  # an index over the live set, or the points from dirty, is this run's
         return out
 
@@ -873,11 +878,10 @@ class Engine:
         drop, or (b) a value neither held nor initiated at lo is initiated there."""
         state = self._state
         lo, qi = state.lo, state.qi
-        inits, terms = self._plans[INITIATED].get(name, []), self._plans[TERMINATED].get(name, [])
         floor, touched = self._dirty_from(name)
-        fresh = self._solve(inits, floor)
+        fresh = self._solve(self._plans[INITIATED].get(name), floor)
         if touched:  # each touched grounding's initiations from its own d
-            self._solve(self._plans["over"].get(name, []), touched, fresh)
+            self._solve(self._plans["over"].get(name), touched, fresh)
         self._break_ties(name, fresh)
         last, last_starts = self._prev_derived.get(name, _NONE), self._starts.get(name, _NONE)
         last_ends = self._ends.get(name, _NONE)
@@ -894,7 +898,7 @@ class Engine:
                     starts[args] = old
                 if ivs:
                     state.derived.setdefault(name, {})[args] = ivs
-                if args in last_ends and (carried := _joined(last_ends[args], lo, dirty, _NONE)):
+                if carried := _joined(last_ends.get(args, _NONE), lo, dirty, _NONE):
                     ends[args] = carried
                 continue
             st, kept, since = _joined(old, lo, dirty, fresh.get(args, _NONE)), {}, dirty
@@ -913,7 +917,7 @@ class Engine:
                 starts[args] = st
             rebuilt.append((args, since, st, kept))
         self._starts[name], self._ends[name] = starts, ends
-        ended = self._solve(terms, live)
+        ended = self._solve(self._plans[TERMINATED].get(name), live)
         for args, since, st, kept in rebuilt:
             if en := _joined(last_ends.get(args, _NONE), lo, since, ended.get(args, _NONE)):
                 ends[args] = en
@@ -949,10 +953,9 @@ class Engine:
         state, per_args = self._state, {}
         floor, touched = self._dirty_from(name)
         state.dirty, state.live = floor, touched
-        for value, plan in self._plans[HOLDS_FOR].get(name, []):
-            for args, fresh in plan():
-                slot = per_args.setdefault(args, {})
-                slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
+        for args, value, fresh in self._plans[HOLDS_FOR][name]():
+            slot = per_args.setdefault(args, {})
+            slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
         # the last query's result before each grounding's dirty-from time
         # carries over; its part at or before the window start is the retained
         # prefix
@@ -960,8 +963,7 @@ class Engine:
         for args, per_value in self._prev_derived.get(name, {}).items():
             dirty = touched.get(args, floor)
             for value, ilist in per_value.items():
-                part = _carried(ilist, state.lo, dirty)
-                if part:
+                if part := _carried(ilist, state.lo, dirty):
                     carried.setdefault(args, {})[value] = part
         for args in per_args.keys() | carried.keys():
             fresh, carry, result = per_args.get(args, {}), carried.get(args, {}), {}
@@ -975,11 +977,10 @@ class Engine:
     def _compute_events(self, name: str):
         """The last query's occurrences before the dirty-from time carry over;
         it is the earliest of any grounding's."""
-        state, plans = self._state, self._plans[HAPPENS].get(name, [])
-        dirty, _touched = self._dirty_from(name)
+        state, dirty = self._state, self._dirty_from(name)[0]
         occurrences = {args: {t for t in ts if state.lo < t < dirty}
                        for args, ts in self._prev_events.get(name, _NONE).items()}
-        for args, per_value in self._solve(plans, dirty).items():
+        for args, per_value in self._solve(self._plans[HAPPENS][name], dirty).items():
             occurrences.setdefault(args, set()).update(per_value[None])
         state.events[name] = {args: sorted(ts) for args, ts in occurrences.items() if ts}
 
@@ -1071,10 +1072,11 @@ def _cached_index(rows: Callable, tag, indexes: dict) -> Callable:
 
 
 class _PlanSource:
-    """A point rule's plan being generated: its text, and the values of its
-    factory's parameters.  Rule variables are the locals v0, v1, ... in the
-    order bound; constants, comparisons and sources are parameters, so no
-    rule text reaches the source, which is the same for rules alike in shape."""
+    """A plan being generated for a name's rules of one kind: its text, one
+    loop nest per rule, and its factory's parameter values.  Rule variables
+    are the locals v0, v1, ... in the order each nest binds them; constants,
+    comparisons and sources are parameters, so no rule text reaches the
+    source, which is the same for names whose rules are alike in shape."""
 
     def __init__(self, state: _QueryState):
         self.params, self.values = ["state", "iv", "E", "cut"], [state, iv, _NONE, _cut]
@@ -1099,11 +1101,11 @@ class _PlanSource:
         self.lines.append("    " * self.depth + text)
         self.depth += inside
 
-    def reaches(self, ilist: str, test: str):
-        """Open a test that the intervals `ilist` are there and their last
-        end, OPEN or `test` (such as ">= d"), reaches a time: constant time,
-        where cutting would walk the whole list."""
-        self.add(f"if (s := {ilist}) and (s[-1][1] is None or s[-1][1] {test}):")
+    def reaches(self, ilist: str, test: str) -> str:
+        """The text of a test that the intervals `ilist` are there and their
+        last end, OPEN or `test` (such as ">= d"), reaches a time: constant
+        time, where cutting would walk the whole list."""
+        return f"(s := {ilist}) and (s[-1][1] is None or s[-1][1] {test})"
 
     def fetch(self, make: Callable) -> str:
         """A local holding make(), called once per run, where first needed."""
@@ -1185,11 +1187,14 @@ def _over_head(fv: FluentValue, head: tuple) -> bool:
     return _first_positions(fv.args).keys() == _first_positions(head).keys()
 
 
-def _reach(rule: Rule, is_input: Callable) -> list[FluentValue]:
-    """The input fluents a point rule reads over exactly the head's
-    variables: a grounding whose content in one of them ends before a time
-    has no solution from that time on."""
-    return [fv for fv in [read_by(lit) for lit in rule.body if not isinstance(lit, Comparison)]
+def _reach(rule: Rule, is_input: Callable) -> list[tuple]:
+    """The input fluents a point rule reads over exactly the head's variables,
+    as (name, value, arguments), each variable as its first position in the
+    head and each constant as a 1-tuple, alike for rules that read alike.  A
+    grounding whose content in one ends before t has no solution from t on."""
+    at = _first_positions(rule.head.args)
+    return [(fv.name, fv.value, tuple([at[t] if is_var(t) else (t,) for t in fv.args]))
+            for fv in [read_by(lit) for lit in rule.body if not isinstance(lit, Comparison)]
             if isinstance(fv, FluentValue) and is_input(fv.name) and _over_head(fv, rule.head.args)]
 
 
@@ -1275,20 +1280,14 @@ def run_stream(
             (max(arrival, _content_end(r)) for arrival, r in ordered), default=0
         )
         last_q = cfg.step * math.ceil((horizon + cfg.wm) / cfg.step)
-    results = []
-    idx = 0
-    qi = cfg.step
-    while qi <= last_q:
-        lo = idx
-        while idx < len(ordered) and ordered[idx][0] <= qi:
-            idx += 1
-        if idx > lo:
-            engine.ingest(rec for _arrival, rec in ordered[lo:idx])
+    results, idx = [], 0
+    for qi in range(cfg.step, last_q + 1, cfg.step):
+        lo, idx = idx, bisect_right(ordered, qi, lo=idx, key=itemgetter(0))
+        engine.ingest(rec for _arrival, rec in ordered[lo:idx])
         t0 = _time.perf_counter()
         results.append(engine.query(qi))
         if timings is not None:
             timings.append((_time.perf_counter() - t0) * 1000.0)
-        qi += cfg.step
     return engine, results
 
 

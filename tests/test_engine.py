@@ -20,6 +20,7 @@ from evrec.engine import (
     EvaluationError,
     ResultEntry,
     SdeStore,
+    _PlanSource,
     record_arrival,
     record_occurrence,
     run_stream,
@@ -316,8 +317,8 @@ def test_names_over_one_grounding_share_its_tuples():
         assert len(engine._grounded) == 2
         for kind, name in (("initiatedAt", "moving"), ("holdsFor", "moving_sd"),
                            ("initiatedAt", "leaving_object")):
-            for _value, plan in engine._plans[kind][name]:
-                assert any(cell.cell_contents is shared for cell in plan.__closure__)
+            plan = engine._plans[kind][name]
+            assert any(cell.cell_contents is shared for cell in plan.__closure__)
 
 
 def test_unbound_head_variable_grounds_over_domain():
@@ -372,17 +373,18 @@ holdsFor(loop(X) = true, I) <- holdsFor(near(X, X) = true, I).
 holdsFor(any(X) = true, I) <- holdsFor(near(X, d) = true, I1), holdsFor(self(X) = true, I2),
     union_all([I1, I2], I), X != qi.
 """
+SHAPES_RECORDS = [
+    ev(1, "ping", ("lo", "lo"), 3), ev(2, "ping", ("lo", "qi"), 4),
+    fl(3, "near", ("out", "d"), 2, 9), ev(4, "up", ("out",), 5), ev(5, "up", ("d",), 6),
+    ev(6, "ping", ("d", "lo"), 12), fl(7, "near", ("lo", "lo"), 3, 7),
+    fl(8, "near", ("qi", "d"), 1, 5)]
 
 
 @pytest.mark.parametrize("wm, step", [(40, 40), (20, 5)])
 def test_constants_repeated_and_free_head_variables(wm, step):
     ed, diagnostics = lang.load(SHAPES_PACK)
     assert not [d for d in diagnostics if d.severity == "error"]
-    recs = [ev(1, "ping", ("lo", "lo"), 3), ev(2, "ping", ("lo", "qi"), 4),
-            fl(3, "near", ("out", "d"), 2, 9), ev(4, "up", ("out",), 5), ev(5, "up", ("d",), 6),
-            ev(6, "ping", ("d", "lo"), 12), fl(7, "near", ("lo", "lo"), 3, 7),
-            fl(8, "near", ("qi", "d"), 1, 5)]
-    cfg = EngineConfig(wm=wm, step=step)
+    recs, cfg = SHAPES_RECORDS, EngineConfig(wm=wm, step=step)
     engine, scratch = Engine(ed, cfg), Engine(ed, cfg)
     for qi in range(step, 41, step):
         for eng in (engine, scratch):
@@ -418,7 +420,7 @@ def test_plan_source_holds_no_rule_text():
         ed, _ = lang.load(text)
         engine = Engine(ed, EngineConfig(wm=40, step=40))
         sources.append([plan.source for per_name in engine._plans.values()
-                        for plans in per_name.values() for _value, plan in plans])
+                        for plan in per_name.values()])
     assert sources[0] == sources[1]
 
 
@@ -426,8 +428,31 @@ def test_plan_source_holds_no_rule_text():
 def test_holds_for_comparisons_are_tested_before_any_conjunct():
     # `any` writes X != qi last, but it reads only a head variable
     ed, _ = lang.load(SHAPES_PACK)
-    source = Engine(ed, EngineConfig(wm=40, step=40))._plans["holdsFor"]["any"][0][1].source
+    source = Engine(ed, EngineConfig(wm=40, step=40))._plans["holdsFor"]["any"].source
     assert re.search(r"if c\d+\(v0, k\d+\):", source).start() < source.index("cut(")
+
+
+def test_one_plan_per_rule_kind_and_head_name(monkeypatch):
+    # the surveillance pack's 15 rules make one plan per kind and head name,
+    # and one more over live groundings for each name whose initiations
+    # reuse the last query's (leaving_object reads the derived person)
+    built, build = [], _PlanSource.build
+
+    def spy(self, filename):
+        built.append(filename)
+        return build(self, filename)
+
+    monkeypatch.setattr(_PlanSource, "build", spy)
+    engine = Engine(surveillance("p1", "p2", "p3"), EngineConfig(wm=20, step=10))
+    simple = ["person", "leaving_object", "moving"]
+    assert {kind: list(per_name) for kind, per_name in engine._plans.items()} == {
+        "initiatedAt": simple, "terminatedAt": simple, "holdsFor": ["moving_sd"],
+        "happensAt": [], "over": ["person", "moving"]}
+    assert len(built) == 9
+    # moving's three initiations read close(P1, P2): one live loop, one test
+    source = engine._plans["over"]["moving"].source
+    assert source.count("state.live.items()") == 1
+    assert len(re.findall(r"s\[-1\]\[1\] >= d\)", source)) == 1
 
 
 def replay_against_scratch(text, recs, wm, step, last_q) -> list:
@@ -445,6 +470,25 @@ def replay_against_scratch(text, recs, wm, step, last_q) -> list:
         results.append(engine.query(qi))
         assert results[-1].entries == scratch.query(qi).entries, f"query {qi} from scratch"
     return results
+
+
+def test_delayed_records_reach_the_over_plan_of_a_head_with_a_constant(monkeypatch):
+    # arriving 7 ticks late, records change input before the last query's
+    # time, so tagged(X, d)'s initiations run over the groundings they touch
+    touched, dirty_from = [], Engine._dirty_from
+
+    def spy(self, name):
+        floor, groundings = dirty_from(self, name)
+        if name == "tagged":
+            touched.append(groundings)
+        return floor, groundings
+
+    monkeypatch.setattr(Engine, "_dirty_from", spy)
+    delayed = [replace(r, arrival=record_occurrence(r) + 7) for r in SHAPES_RECORDS]
+    results = replay_against_scratch(SHAPES_PACK, delayed, 20, 5, 40)
+    assert any(touched)
+    assert ("tagged", ("out", "d"), 6, None) in {
+        (e.name, e.args, e.start, e.end) for e in results[-1].entries}
 
 
 REACH_DECLARATIONS = """domain ent = {a, b}
@@ -948,10 +992,10 @@ def test_each_touched_grounding_is_solved_from_its_own_dirty_from_time(monkeypat
             fl(10, "walking", ("p2",), 27, 35, arrival=40)]
     runs, solve = [], Engine._solve
 
-    def spy(self, plans, since, out=None):
+    def spy(self, plan, since, out=None):
         if isinstance(since, dict):  # this run's solutions alone
-            runs.append((self._state.lo, since, solve(self, plans, since)))
-        return solve(self, plans, since, out)
+            runs.append((self._state.lo, since, solve(self, plan, since)))
+        return solve(self, plan, since, out)
 
     monkeypatch.setattr(Engine, "_solve", spy)
     engine = Engine(ed, cfg)
