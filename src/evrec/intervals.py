@@ -10,7 +10,8 @@ pure and return fresh lists.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from operator import ge
 from typing import Iterable, Optional, Sequence
 
 OPEN = None
@@ -211,9 +212,9 @@ def make_intervals(
     strictly ascending.
     """
     for seq, label in ((starts, "starts"), (breaks, "breaks")):
-        for a, b in zip(seq, seq[1:]):
-            if a >= b:
-                raise MalformedIntervalError(f"{label} not strictly ascending: {a} >= {b}")
+        if any(map(ge, seq, seq[1:])):
+            a, b = next((a, b) for a, b in zip(seq, seq[1:]) if a >= b)
+            raise MalformedIntervalError(f"{label} not strictly ascending: {a} >= {b}")
         if seq and seq[-1] > now:
             raise MalformedIntervalError(f"{label} contains a point after now={now}")
     out: IntervalList = []
@@ -227,7 +228,6 @@ def make_intervals(
         tf = breaks[j]
         if tf > ts + 1:
             out.append((ts + 1, tf))
-        while i < len(starts) and starts[i] < tf:
-            i += 1
+        i = bisect_left(starts, tf, i)  # skip the re-initiations before tf
     return out
 

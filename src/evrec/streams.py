@@ -124,6 +124,7 @@ def _number(obj: dict, key: str, line: int) -> float:
 # json.loads made, so that every record shares one of each.
 _ACTIONS = {a: a for a in ("assert", "retract", "update")}
 _KINDS = {k: k for k in ("event", "interval", "coord")}
+_ARG_TYPES = {str, int}
 
 
 def _constant(table: dict, value, what: str, line: int) -> str:
@@ -138,76 +139,82 @@ def parse_record(obj: dict, line: int = 0) -> InputRecord:
 
 def _parse_record(obj: dict, line: int, atoms: dict) -> InputRecord:
     """`parse_record`, with each entity, name, argument and tick replaced by
-    the equal value first put in `atoms`, so that records share it."""
+    the equal value first put in `atoms`, so that records share it.  Each field
+    is tested inline, in the order of the checks; the helper that raises (or
+    reads an integer as text) runs only where that test fails."""
     if not isinstance(obj, dict):
         raise StreamFormatError("record must be a JSON object", line)
     share = atoms.setdefault
-    rec_id = _text(obj, "id", line)
-    action = _constant(_ACTIONS, obj.get("action", "assert"), "action", line)
-    arrival = obj.get("arrival")
+    get = obj.get
+    rec_id = get("id")
+    if type(rec_id) is not str:
+        rec_id = _text(obj, "id", line)
+    action = get("action", "assert")
+    action = type(action) is str and _ACTIONS.get(action) or _constant(
+        _ACTIONS, action, "action", line)
+    arrival = get("arrival")
     if arrival is not None and (type(arrival) is not int or arrival < 0):
         raise StreamFormatError("arrival must be a non-negative integer", line)
-    kind = obj.get("kind", "event") if action == "retract" else _require(obj, "kind", line)
-    kind = _constant(_KINDS, kind, "record kind", line)
+    kind = get("kind", "event") if action == "retract" else get("kind")
+    if kind is None and action != "retract":
+        _require(obj, "kind", line)
+    kind = type(kind) is str and _KINDS.get(kind) or _constant(_KINDS, kind, "record kind", line)
+    # InputRecord(id, action, kind, name, args, value, t, start, end, entity, x, y, arrival)
     if action == "retract":
-        return InputRecord(id=rec_id, action=action, kind=kind, arrival=arrival)
+        return InputRecord(rec_id, action, kind, None, (), None, None, None, None, None, None,
+                           None, arrival)
     if kind == "interval":
-        start = _require(obj, "from", line)
-        end = obj.get("to")
+        start = get("from")
         if type(start) is not int or start < 0:
+            _require(obj, "from", line)
             raise StreamFormatError("'from' must be a non-negative integer", line)
+        end = get("to")
         if end is not None and (type(end) is not int or end <= start):
             raise StreamFormatError("'to' must be null or an integer after 'from'", line)
-        value = _require(obj, "value", line)
-        if isinstance(value, (list, dict)):
+        value = get("value")
+        if value is None or isinstance(value, (list, dict)):
+            _require(obj, "value", line)
             raise StreamFormatError("'value' must be a string, number or boolean", line)
+        t = None
+    else:  # kind "event" or "coord"
+        t = get("t")
+        if type(t) is not int or t < 0:
+            _require(obj, "t", line)
+            raise StreamFormatError("t must be a non-negative integer", line)
+        t = share(t, t)
+        if kind == "coord":
+            entity = get("entity")
+            if type(entity) is not str:
+                entity = _text(obj, "entity", line)
+            x = get("x")
+            x = x if type(x) is float and math.isfinite(x) else _number(obj, "x", line)
+            y = get("y")
+            y = y if type(y) is float and math.isfinite(y) else _number(obj, "y", line)
+            return InputRecord(rec_id, action, kind, None, (), None, t, None, None,
+                               share(entity, entity), x, y, arrival)
+        start = end = value = None
+    name = get("name")
+    if type(name) is not str:
         name = _text(obj, "name", line)
-        return InputRecord(
-            id=rec_id,
-            action=action,
-            kind=kind,
-            name=share(name, name),
-            args=_args(obj, line, share),
-            value=value,
-            start=start,
-            end=end,
-            arrival=arrival,
-        )
-    t = _require(obj, "t", line)  # kind "event" or "coord"
-    if type(t) is not int or t < 0:
-        raise StreamFormatError("t must be a non-negative integer", line)
-    t = share(t, t)
-    if kind == "event":
-        name = _text(obj, "name", line)
-        return InputRecord(
-            id=rec_id,
-            action=action,
-            kind=kind,
-            name=share(name, name),
-            args=_args(obj, line, share),
-            t=t,
-            arrival=arrival,
-        )
-    entity = _text(obj, "entity", line)
-    return InputRecord(
-        id=rec_id,
-        action=action,
-        kind=kind,
-        entity=share(entity, entity),
-        t=t,
-        x=_number(obj, "x", line),
-        y=_number(obj, "y", line),
-        arrival=arrival,
-    )
+    args = get("args")
+    if type(args) is list and _ARG_TYPES.issuperset(map(type, args)):
+        args = tuple(map(share, args, args))
+    else:
+        args = _args(obj, line, share)
+    return InputRecord(rec_id, action, kind, share(name, name), args, value, t, start, end,
+                       None, None, None, arrival)
 
 
 def read_stream(path) -> StreamDocument:
     """Parse a JSONL stream file.  Hard schema violations raise with the line
     number; referential oddities become diagnostics.  Records read from one
-    file share one copy of each entity, name, argument and tick."""
+    file share one copy of each entity, name, argument and tick.  A line is
+    taken when json's C scanner reads one value that ends it; `json.loads`
+    then reads any other line only to raise its error."""
     doc = StreamDocument()
     seen: set[str] = set()
     atoms: dict = {}
+    scan = json.JSONDecoder().scan_once
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -218,9 +225,17 @@ def read_stream(path) -> StreamDocument:
             if not raw:
                 continue
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"malformed JSON: {exc.msg}", lineno) from exc
+                obj, end = scan(raw, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(raw):
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise StreamFormatError(f"malformed JSON: {exc.msg}", lineno) from exc
+                except (ValueError, RecursionError) as exc:  # too deep, or too long an integer
+                    message = str(exc).split(";")[0]
+                    raise StreamFormatError(f"malformed JSON: {message}", lineno) from None
             rec = _parse_record(obj, lineno, atoms)
             if rec.action == "assert":
                 if rec.id in seen:

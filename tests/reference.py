@@ -2,15 +2,23 @@
 
 Everything here works point by point on explicit tick sets, deliberately
 avoiding the interval-list algorithms under test.  Slow and obvious beats
-fast and clever for an oracle.  `pairwise_closeness` is the exception: it is
-the per-pair closeness preprocessor that the grid join replaced.
+fast and clever for an oracle.  The exceptions keep an earlier, plainer
+body of a function under test: `pairwise_closeness` is the per-pair
+closeness preprocessor that the grid join replaced, `make_intervals` the
+step-by-step inertia, and `read_stream` the stream reader that parses each
+line with `json.loads` and each field through its own helper.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from bisect import bisect_right
+
 import numpy as np
 
-from evrec.streams import InputRecord
+from evrec.intervals import MalformedIntervalError
+from evrec.streams import InputRecord, StreamDocument, StreamFormatError
 
 OPEN = None
 
@@ -393,3 +401,197 @@ def pairwise_closeness(samples, pairs, threshold: float, id_prefix: str = "close
                 )
             )
     return records
+
+
+# ---------------------------------------------------------------------------
+# Inertia, one step at a time: the body `intervals.make_intervals` replaced.
+
+
+def make_intervals(
+    starts: Sequence[Timepoint], breaks: Sequence[Timepoint], now: Timepoint
+) -> IntervalList:
+    """Maximal intervals of a property initiated at `starts` and broken at `breaks`.
+
+    An initiation at Ts makes the property hold on [Ts+1, Tf) where Tf is the
+    least break strictly after Ts, or on [Ts+1, OPEN) when no break follows.
+    Re-initiations inside a held interval do not split it.  Inputs must be
+    strictly ascending.  `intervals.make_intervals`' earlier body, which
+    checks each list and skips each re-initiation one step at a time.
+    """
+    for seq, label in ((starts, "starts"), (breaks, "breaks")):
+        for a, b in zip(seq, seq[1:]):
+            if a >= b:
+                raise MalformedIntervalError(f"{label} not strictly ascending: {a} >= {b}")
+        if seq and seq[-1] > now:
+            raise MalformedIntervalError(f"{label} contains a point after now={now}")
+    out: IntervalList = []
+    i = 0
+    while i < len(starts):
+        ts = starts[i]
+        j = bisect_right(breaks, ts)
+        if j == len(breaks):
+            out.append((ts + 1, OPEN))
+            break
+        tf = breaks[j]
+        if tf > ts + 1:
+            out.append((ts + 1, tf))
+        while i < len(starts) and starts[i] < tf:
+            i += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The stream reader `streams.read_stream` replaced: json.loads per line and one
+# helper call per field.  Only the record, document and error types are
+# shared with evrec.streams.
+
+
+def _require(obj: dict, key: str, line: int):
+    value = obj.get(key)
+    if value is None:
+        raise StreamFormatError(f"missing field {key!r}", line)
+    return value
+
+
+# Fields are checked by exact type: json.loads gives a JSON true or false as a
+# bool, which isinstance would take for the integer 1 or 0.
+
+
+def _text(obj: dict, key: str, line: int) -> str:
+    value = _require(obj, key, line)
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise StreamFormatError(f"{key!r} must be a string or an integer", line)
+
+
+def _args(obj: dict, line: int, share) -> tuple:
+    args = _require(obj, "args", line)
+    if type(args) is not list or not all(type(a) is str or type(a) is int for a in args):
+        raise StreamFormatError("'args' must be a list of strings or integers", line)
+    return tuple([share(a, a) for a in args])
+
+
+def _number(obj: dict, key: str, line: int) -> float:
+    value = _require(obj, key, line)
+    if type(value) is not float and type(value) is not int:
+        raise StreamFormatError(f"{key!r} must be a number", line)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json.loads reads NaN and Infinity
+        raise StreamFormatError(f"{key!r} must be a finite number", line)
+    return number
+
+
+# A record stores this module's own action and kind strings, not the copies
+# json.loads made, so that every record shares one of each.
+_ACTIONS = {a: a for a in ("assert", "retract", "update")}
+_KINDS = {k: k for k in ("event", "interval", "coord")}
+
+
+def _constant(table: dict, value, what: str, line: int) -> str:
+    if type(value) is not str or value not in table:
+        raise StreamFormatError(f"unknown {what} {value!r}", line)
+    return table[value]
+
+
+def _parse_record(obj: dict, line: int, atoms: dict) -> InputRecord:
+    """`parse_record`, with each entity, name, argument and tick replaced by
+    the equal value first put in `atoms`, so that records share it."""
+    if not isinstance(obj, dict):
+        raise StreamFormatError("record must be a JSON object", line)
+    share = atoms.setdefault
+    rec_id = _text(obj, "id", line)
+    action = _constant(_ACTIONS, obj.get("action", "assert"), "action", line)
+    arrival = obj.get("arrival")
+    if arrival is not None and (type(arrival) is not int or arrival < 0):
+        raise StreamFormatError("arrival must be a non-negative integer", line)
+    kind = obj.get("kind", "event") if action == "retract" else _require(obj, "kind", line)
+    kind = _constant(_KINDS, kind, "record kind", line)
+    if action == "retract":
+        return InputRecord(id=rec_id, action=action, kind=kind, arrival=arrival)
+    if kind == "interval":
+        start = _require(obj, "from", line)
+        end = obj.get("to")
+        if type(start) is not int or start < 0:
+            raise StreamFormatError("'from' must be a non-negative integer", line)
+        if end is not None and (type(end) is not int or end <= start):
+            raise StreamFormatError("'to' must be null or an integer after 'from'", line)
+        value = _require(obj, "value", line)
+        if isinstance(value, (list, dict)):
+            raise StreamFormatError("'value' must be a string, number or boolean", line)
+        name = _text(obj, "name", line)
+        return InputRecord(
+            id=rec_id,
+            action=action,
+            kind=kind,
+            name=share(name, name),
+            args=_args(obj, line, share),
+            value=value,
+            start=start,
+            end=end,
+            arrival=arrival,
+        )
+    t = _require(obj, "t", line)  # kind "event" or "coord"
+    if type(t) is not int or t < 0:
+        raise StreamFormatError("t must be a non-negative integer", line)
+    t = share(t, t)
+    if kind == "event":
+        name = _text(obj, "name", line)
+        return InputRecord(
+            id=rec_id,
+            action=action,
+            kind=kind,
+            name=share(name, name),
+            args=_args(obj, line, share),
+            t=t,
+            arrival=arrival,
+        )
+    entity = _text(obj, "entity", line)
+    return InputRecord(
+        id=rec_id,
+        action=action,
+        kind=kind,
+        entity=share(entity, entity),
+        t=t,
+        x=_number(obj, "x", line),
+        y=_number(obj, "y", line),
+        arrival=arrival,
+    )
+
+
+def read_stream(path) -> StreamDocument:
+    """Parse a JSONL stream file.  Hard schema violations raise with the line
+    number; referential oddities become diagnostics.  Records read from one
+    file share one copy of each entity, name, argument and tick."""
+    doc = StreamDocument()
+    seen: set[str] = set()
+    atoms: dict = {}
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                message = f"invalid UTF-8 byte {raw[exc.start]:#04x}"
+                raise StreamFormatError(message, lineno) from None
+            if not raw:
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise StreamFormatError(f"malformed JSON: {exc.msg}", lineno) from exc
+            rec = _parse_record(obj, lineno, atoms)
+            if rec.action == "assert":
+                if rec.id in seen:
+                    raise StreamFormatError(f"duplicate id {rec.id!r} on assert", lineno)
+                seen.add(rec.id)
+            elif rec.id not in seen:
+                doc.diagnostics.append(
+                    f"line {lineno}: {rec.action} references id {rec.id!r} not asserted "
+                    "earlier in this file"
+                )
+            doc.records.append(rec)
+    return doc

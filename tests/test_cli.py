@@ -185,13 +185,17 @@ def test_sharded_runs_report_what_one_shard_reports_in_each_mode(tmp_path):
             "final": {"final"}}[mode]
 
 
-# one malformed record per kind of field check in streams.parse_record
+# one malformed record per kind of field check in streams.parse_record, and
+# lines too deep or with too long an integer for json to read
 BAD_RECORDS = {
     "args": '{"id": "e1", "kind": "event", "name": "appear", "args": [["p1"]], "t": 5}',
     "value": '{"id": "f1", "kind": "interval", "name": "walking", "args": ["p1"], '
              '"value": ["true"], "from": 1, "to": 9}',
     "boolean time": '{"id": "e1", "kind": "event", "name": "appear", "args": ["p1"], "t": true}',
     "coordinate": '{"id": "c1", "kind": "coord", "entity": "p1", "t": 1, "x": "10", "y": 4}',
+    "deep nesting": "[" * 200_000,
+    "huge integer": '{"id": "e1", "kind": "event", "name": "appear", "args": ["p1"], "t": '
+                    + "9" * 5000 + "}",
 }
 
 

@@ -155,6 +155,28 @@ def test_make_intervals_against_pointwise_oracle():
         assert got == reference.inertia(starts, breaks, now)
 
 
+def make_intervals_outcome(make, starts, breaks, now):
+    try:
+        return make(starts, breaks, now)
+    except iv.MalformedIntervalError as exc:
+        return "raised", str(exc)
+
+
+@given(st.lists(st.integers(0, 40), max_size=12), st.lists(st.integers(0, 40), max_size=12),
+       st.integers(0, 40), st.booleans(), st.booleans(), st.booleans())
+def test_make_intervals_equals_its_step_by_step_body(starts, breaks, now, sort_starts,
+                                                     sort_breaks, as_tuples):
+    """Mostly ascending lists, as the engine passes; the others must raise alike."""
+    if sort_starts:
+        starts = sorted(set(starts))
+    if sort_breaks:
+        breaks = sorted(set(breaks))
+    if as_tuples:
+        starts, breaks = tuple(starts), tuple(breaks)
+    assert make_intervals_outcome(iv.make_intervals, starts, breaks, now) == \
+        make_intervals_outcome(reference.make_intervals, starts, breaks, now)
+
+
 finite_lists = st.lists(
     st.tuples(st.integers(0, 60), st.integers(1, 40)).map(lambda p: (p[0], p[0] + p[1])),
     max_size=6,

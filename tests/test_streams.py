@@ -438,3 +438,92 @@ def test_records_survive_a_stream_file_and_pickling(records):
         assert streams.read_stream(path).records == records
     for rec in records:
         assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+# Stream lines for the reader property: records, some with one or two fields
+# missing or of a wrong type, and lines that are not one JSON object.
+JUNK = [None, True, False, [], ["p1", True], {}, {"a": 1}, -1, 0, 2.5, "s", math.nan, -math.inf]
+FIELDS = {
+    "id": st.sampled_from(["a", "b", "é", 1]) | st.integers(2, 10**9),  # ids may repeat
+    "action": st.sampled_from(["assert", "assert", "update", "retract"]),
+    "arrival": st.none() | st.integers(0, 50),
+    "name": st.sampled_from(["appear", "walking", 7]),
+    "args": st.lists(st.sampled_from(["p1", "p2", 3]), max_size=3),
+    "value": st.sampled_from(["true", 4, 1.5, True, False]),
+    "t": st.integers(0, 50),
+    "from": st.integers(0, 50),
+    "to": st.none() | st.integers(51, 60),
+    "entity": st.sampled_from(["p1", "p2", 9]),
+    "x": st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False),
+    "y": st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False),
+}
+KIND_FIELDS = {
+    "event": ["name", "args", "t"],
+    "interval": ["name", "args", "value", "from", "to"],
+    "coord": ["entity", "t", "x", "y"],
+}
+PAD = st.text(" \t\r\x0b\x0c\xa0", max_size=3)
+NOT_ONE_OBJECT = [
+    "[1, 2]", "3", '"s"', "null", "true", "NaN", "-Infinity", "[" * 30 + "]" * 30,
+    "{", "}", '{"id": }', "{'id': 1}", '{"id": "a",}', "nul",
+]
+SHAPES = ["padded", "blank", "bom", "trailing", "two values", "not one object", "bytes"]
+
+
+@st.composite
+def stream_lines(draw) -> list[bytes]:
+    # Which fields break, and how, come from one seeded Random per file:
+    # hypothesis' own choices among so few options repeat too often within
+    # and across examples to reach every check.
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    lines = []
+    for _ in range(rnd.randint(1, 6)):
+        kind = rnd.choice(["event", "interval", "coord"] * 2 + ["interval?"])
+        keys = ["id", "action", "kind", "arrival", *KIND_FIELDS.get(kind, [])]
+        broken = rnd.sample(keys, rnd.choice([0, 0, 0, 1, 1, 2]))
+        obj = {}
+        for key in keys:
+            if key not in broken:
+                obj[key] = kind if key == "kind" else draw(FIELDS[key])
+            elif rnd.random() < 0.8:  # else the field is missing
+                obj[key] = rnd.choice(JUNK)
+        separators = rnd.choice([(", ", ": "), (",", ":"), (" ,\t", "\t: ")])
+        text = json.dumps(obj, separators=separators, ensure_ascii=rnd.random() < 0.5)
+        shape = rnd.choice(SHAPES) if rnd.random() < 0.3 else "plain"
+        if shape == "padded":
+            text = draw(PAD) + text + draw(PAD)
+        elif shape == "blank":
+            text = draw(PAD)
+        elif shape == "bom":
+            text = "\ufeff" + text
+        elif shape == "trailing":
+            text += rnd.choice([" x", "}", " 1", "  ,"])
+        elif shape == "two values":
+            text += rnd.choice(["", " "]) + text
+        elif shape == "not one object":
+            text = rnd.choice(NOT_ONE_OBJECT)
+        lines.append(b"\xff" * (shape == "bytes") + text.encode())
+    return lines
+
+
+def read_outcome(read, path):
+    """The records and diagnostics `read` gives, or the error it raises."""
+    try:
+        doc = read(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return doc.records, doc.diagnostics
+
+
+@given(stream_lines(), st.booleans())
+def test_read_stream_equals_the_per_field_reference_reader(lines, final_newline):
+    """The whole file, then each line alone, so that an earlier error hides none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.jsonl")
+        for text in [b"\n".join(lines) + b"\n" * final_newline, *lines]:
+            with open(path, "wb") as fh:
+                fh.write(text)
+            got = read_outcome(streams.read_stream, path)
+            want = read_outcome(reference.read_stream, path)
+            # pickled, so that which atoms the records share is compared too
+            assert pickle.dumps(got) == pickle.dumps(want)
