@@ -43,16 +43,21 @@ last query's and the next boundary has not reached one of their endpoints.
 error, and compiles the rules of any other once, into one plan per rule kind
 and head name and one more over live groundings for the initiations of each
 name that reuses: a generated function, whose text is `plan.source`, that runs
-each rule's loop nest in turn.  A point rule's nest is loops and tests in the
-order `language.join_order` gives, each reading its source through an index on
-the argument positions bound before it; a holdsFor rule's is a loop over the
-rows of its first required input over the head's variables, or over its
-grounding, then its conjuncts in body order.  The plans rely on validate's
-checks and repeat none of them; only an ordering comparison on non-integer
-values, which depends on the data, fails at query time.  Terminations are
-evaluated only for groundings that can hold from their dirty-from time on, and
-a holdsFor rule only for groundings whose source row has content from their
-time on, each from its own dirty-from time in one run (see README.md).
+each rule's loop nest in turn.  A plan names each source it reads once: the
+store's content of an input fluent and its join indexes, which the store keeps
+current, and a grounding and its indexes are factory parameters; the input
+points from d, a derived fluent's or event's rows and an index over one of
+these are locals set once at the plan's top.  A point rule's nest is loops and
+tests in the order `language.join_order` gives, each reading its source
+through an index on the argument positions bound before it; a holdsFor rule's
+is a loop over the rows of its first required input over the head's variables,
+or over its grounding, then its conjuncts in body order.  The plans rely on
+validate's checks and repeat none of them; only an ordering comparison on
+non-integer values, which depends on the data, fails at query time.
+Terminations are evaluated only for groundings that can hold from their
+dirty-from time on, and a holdsFor rule only for groundings whose source row
+has content from their time on, each from its own dirty-from time in one run
+(see README.md).
 
 One engine instance is single-threaded; scale-out is by running independent
 instances over disjoint groundings, each fed the complete stream.
@@ -454,7 +459,7 @@ class SdeStore:
         return sorted(t for t, _id in self.events.get(name, _NONE).get(args, ()))
 
     def fluent_intervals(self, name: str, args: tuple, value) -> IntervalList:
-        slot = self.durative.get(name, {}).get(args, {}).get(value)
+        slot = self.durative.get(name, _NONE).get(args, _NONE).get(value)
         if not slot:
             return []
         return iv.normalize([(s, e) for s, e, _ in slot])
@@ -500,7 +505,6 @@ class _QueryState:
         # termination's or a touched initiation's, runs over, or for a
         # holdsFor plan those whose d is not state.dirty
         self.live: dict[tuple, int] = {}
-        self.indexes: dict[tuple, dict] = {}  # emptied after each solve and scheduled item
 
 
 class Engine:
@@ -535,7 +539,7 @@ class Engine:
         self._touched: dict[tuple, tuple] = {}  # this query's _dirty_from by reads
         self._entries: dict[tuple, tuple] = {}  # (name, args) -> the last _entries_of
         self._state = _QueryState(self.store)
-        self._domain_indexes: dict[tuple, dict] = {}  # over grounding domains
+        self._domain_indexes: dict[tuple, dict] = {}  # (expr, shape) -> one, for _dirty_from
 
         heads = {r.head.name for r in ed.rules}
         self._grounded: dict = {}  # DomainExpr -> its tuples, one set per grounding
@@ -642,7 +646,6 @@ class Engine:
         state.derived, state.events = {}, {}
         for name, compute in self._schedule:
             compute(self, name)
-            state.indexes.clear()  # later items may read what this one wrote
 
         entries = self._classify(qi)
         reported = select_reported(entries, self.cfg.mode)
@@ -660,8 +663,10 @@ class Engine:
         """Compile a name's rules of one kind into a plan (`_PlanSource`) that
         runs each rule's loop nest in turn, giving (head arguments, value, T)
         per solution, or (head arguments, value, intervals) per grounding.
-        With `over_live` it runs them in one loop over state.live, binding the
-        head and d of each grounding."""
+        Every source the rules read is named once in the plan: a parameter
+        for one the engine keeps, a local set at its top for one each run
+        reads afresh.  With `over_live` it runs the nests in one loop over
+        state.live, binding the head and d of each grounding."""
         kind, src = rules[0].kind, _PlanSource(self._state)
         # A grounding with neither an initiation nor a kept start cannot hold,
         # so only the live ones need their terminations.  An initiation is
@@ -673,14 +678,14 @@ class Engine:
         reach = [_reach(rule, self.ed.is_input) if over_live and kind == INITIATED else []
                  for rule in rules]
         tests = {key: f"r{n}" for n, key in enumerate(dict.fromkeys(itertools.chain(*reach)))}
-        contents = [src.fetch(self._fluent(name)[0]) for name, _value, _at in tests]
         if over_live:
             src.add("for a, d in state.live.items():")
         whole = tuple(range(len(rules[0].head.args)))
-        for ((_name, value, at), local), content in zip(tests.items(), contents):
+        for (name, value, at), local in tests.items():
             key = "a" if at == whole else _tuple_text(
                 [f"a[{p}]" if isinstance(p, int) else src.param(p[0]) for p in at])
-            test = src.reaches(f"{content}.get({key}, E).get({src.param(value)})", ">= d")
+            rows = self._fluent(src, name)[0]
+            test = src.reaches(f"{rows}.get({key}, E).get({src.param(value)})", ">= d")
             src.add(f"{local} = {test}", False)
         depth = src.depth
         for rule, keys in zip(rules, reach):
@@ -705,46 +710,41 @@ class Engine:
         name, head = rule.head.name, rule.head.args
         for lit in join_order(rule, over_live):
             self._literal(src, lit)
-        expr = self.ed.groundings.get(name)
-        grounded = self._grounded.get(expr, set())
         free = any(is_var(a) and a not in src.vars for a in head)
         if free:
             # the body leaves head variables free: the rule fires for every
             # grounding that matches the bound part
-            domain = lambda: grounded  # noqa: E731
-            src.join(domain, _cached_index(domain, expr, self._domain_indexes), head)
+            src.join(*self._grounding(src, name), head)
         args = _tuple_text([src.term(a) for a in head])
         if not free and not over_live and name in self.ed.groundings:
-            src.add(f"if {args} in {src.param(grounded, 'g')}:")
+            src.add(f"if {args} in {self._grounding(src, name)[0]}:")
         return args, src.term(rule.head_var)
 
     def _literal(self, src: _PlanSource, lit):
         """Add the test or loops of one body literal to a plan."""
-        state = self._state
         if isinstance(lit, Comparison):
             left, right = map(src.term, terms_of(lit))
             src.add(f"if {src.param(partial(_compare, lit.op), 'c')}({left}, {right}):")
             return
         if isinstance(lit, HoldsAt):
-            rows, index = self._fluent(lit.fluent.name)
-            (at, args), value = src.join(rows, index, lit.fluent.args), src.param(lit.fluent.value)
-            src.add(f"if iv.holds_at({at}.get({args}, E).get({value}, ()), {src.term(lit.time)}):")
+            rows, index_for = self._fluent(src, lit.fluent.name)
+            args, value = src.join(rows, index_for, lit.fluent.args), src.param(lit.fluent.value)
+            src.add(f"if iv.holds_at({rows}.get({args}, E).get({value}, ()), {src.term(lit.time)}):")
             return
         event = lit.event
-        name, tag, points = getattr(event, "fluent", event).name, None, "{0}[{1}]"
+        name, points = getattr(event, "fluent", event).name, "{0}[{1}]"
         if self.ed.is_input(name):
             tag = (name, "happens", None)
             if isinstance(event, BoundaryEvent):
                 tag = (name, event.which, event.fluent.value)
-            rows = partial(_fresh, state, tag)
+            rows = src.per_run(tag, lambda: f"points({src.param(tag, 't')}, lo, d, qi)")
         elif isinstance(event, BoundaryEvent):
-            rows, value = self._fluent(event.fluent.name)[0], src.param(event.fluent.value)
+            rows, value = self._fluent(src, event.fluent.name)[0], src.param(event.fluent.value)
             which = "start_points" if event.which == "start" else "end_points"
             points = f"iv.{which}({{0}}.get({{1}}, E).get({value}, ()))"
         else:
-            rows = lambda: state.events.get(name, _NONE)  # noqa: E731
-        index_for = _cached_index(rows, tag or name, state.indexes)
-        points = points.format(*src.join(rows, index_for, terms_of(lit)))
+            rows = src.per_run(name, lambda: f"state.events.get({src.param(name)}, E)")
+        points = points.format(rows, src.join(rows, src.indexed(rows), terms_of(lit)))
         if lit.time in src.vars:  # before this literal, or by its own arguments
             # only check that the event happens then
             src.add(f"if {src.term(lit.time)} in {points}:")
@@ -756,18 +756,28 @@ class Engine:
             src.add(f"for {time} in {points}:")
             src.add(f"if {time} == lo or d <= {time} <= qi:")
 
-    def _fluent(self, name: str) -> tuple[Callable, Callable]:
-        """rows() of a fluent's argument tuples at this query, each mapped to
-        its value -> content dict, and shape -> index(), an index over rows():
-        the store keeps those over input, and those over a derived fluent last
-        one solve.  Input content may reach past Qi, where evaluation cuts it."""
-        state = self._state
+    def _fluent(self, src: _PlanSource, name: str) -> tuple[str, Callable[[tuple], str]]:
+        """The name in a plan of a fluent's argument tuples at this query, each
+        mapped to its value -> content dict, and shape -> that of an index
+        over them.  The store keeps an input fluent's content and its join
+        indexes for good, so they are parameters; a derived fluent's rows and
+        any index over them are locals set once per run.  Input content may
+        reach past Qi, where evaluation cuts it."""
         if self.ed.is_input(name):
-            store = state.store
-            content = store.content.setdefault(name, {})  # kept for good by the store
-            return (lambda: content), lambda shape: partial(store.join_index, name, shape)
-        rows = lambda: state.derived.get(name, _NONE)  # noqa: E731
-        return rows, _cached_index(rows, name, state.indexes)
+            store = self._state.store
+            rows = src.kept(name, lambda: store.content.setdefault(name, {}))
+            return rows, lambda shape: src.kept((name, shape),
+                                                lambda: store.join_index(name, shape))
+        rows = src.per_run(name, lambda: f"state.derived.get({src.param(name)}, E)")
+        return rows, src.indexed(rows)
+
+    def _grounding(self, src: _PlanSource, name: str) -> tuple[str, Callable[[tuple], str]]:
+        """The parameter in a plan of a head name's declared grounding, and
+        shape -> that of an index over it, built as the plan is compiled."""
+        expr = self.ed.groundings.get(name)
+        grounded = self._grounded.get(expr, set())
+        return src.kept(expr, lambda: grounded), lambda shape: src.kept(
+            (expr, shape), lambda: _index(grounded, shape))
 
     def _compile_sd(self, src: _PlanSource, rule: Rule) -> tuple[str, str]:
         """Add a holdsFor rule's loop nest to a plan; the texts of its head
@@ -778,18 +788,15 @@ class Engine:
         content reaching past e, else from the declared grounding.  The
         comparisons, which read only head variables, are tested as soon as a
         grounding is drawn."""
-        name, head = rule.head.name, rule.head.args
-        expr, required = self.ed.groundings.get(name), _required_literals(rule)
-        grounded = self._grounded.get(expr, set())
+        head, required = rule.head.args, _required_literals(rule)
+        grounded, index_for = self._grounding(src, rule.head.name)
         source = next((lit for lit in required if _over_head(lit.fluent, head)), None)
         if source is None:
-            domain = lambda: grounded  # noqa: E731
-            _rows, args = src.join(domain, _cached_index(domain, expr, self._domain_indexes), head)
+            args = src.join(grounded, index_for, head)
         else:
-            rows, at = src.join(*self._fluent(source.fluent.name), source.fluent.args)
-            args = "h"
-            src.add(f"if (h := {_tuple_text([src.term(a) for a in head])}) in "
-                    f"{src.param(grounded, 'g')}:")
+            rows, index_for = self._fluent(src, source.fluent.name)
+            at, args = src.join(rows, index_for, source.fluent.args), "h"
+            src.add(f"if (h := {_tuple_text([src.term(a) for a in head])}) in {grounded}:")
         for lit in rule.body:
             if isinstance(lit, Comparison):
                 self._literal(src, lit)
@@ -806,7 +813,7 @@ class Engine:
             if isinstance(lit, HoldsFor):
                 ilist = "s"
                 if lit != source:
-                    rows, fv = src.fetch(self._fluent(lit.fluent.name)[0]), lit.fluent
+                    rows, fv = self._fluent(src, lit.fluent.name)[0], lit.fluent
                     ilist = (f"{rows}.get({_tuple_text([src.term(a) for a in fv.args])}, E)"
                              f".get({src.param(fv.value)}, ())")
                 if lit in required:
@@ -832,11 +839,12 @@ class Engine:
         which also gives the groundings a plan over live groundings runs over."""
         state, out = self._state, {} if out is None else out
         if isinstance(since, dict):
-            state.live, since = since, min(since.values(), default=state.lo)
+            if not since:
+                return out  # nothing to solve, so no per-run source to read
+            state.live, since = since, min(since.values())
         state.dirty = since
         for args, value, t in plan() if plan else ():
             out.setdefault(args, {}).setdefault(value, set()).add(t)
-        state.indexes.clear()  # an index over the live set, or the points from dirty, is this run's
         return out
 
     def _dirty_from(self, name: str) -> tuple[int, dict]:
@@ -852,7 +860,7 @@ class Engine:
             return d0, _NONE
         if reads not in self._touched:
             (patterns, expr), floor, touched = reads, d0, {}
-            index_for = _cached_index(lambda: self._grounded[expr], expr, self._domain_indexes)
+            indexes = self._domain_indexes
             for (read, key), t in self._late.items():
                 for pattern_read, arity, at, shape in patterns:
                     if pattern_read != read or arity != len(key):
@@ -861,7 +869,9 @@ class Engine:
                     if expr is None:
                         floor = min(floor, t)
                         continue
-                    for args in index_for(shape)().get(tuple([key[p] for p in at]), ()):
+                    if (expr, shape) not in indexes:
+                        indexes[expr, shape] = _index(self._grounded[expr], shape)
+                    for args in indexes[expr, shape].get(tuple([key[p] for p in at]), ()):
                         if t < touched.get(args, d0):
                             touched[args] = t
             self._touched[reads] = floor, touched
@@ -1043,45 +1053,22 @@ def _index(rows: Iterable[tuple], shape: tuple) -> dict:
     return index
 
 
-def _fresh(state: _QueryState, tag: tuple) -> dict:
-    """The argument tuples with an input point at the window start or from
-    state.dirty on, each mapped to those points; read from the time-keyed
-    index once per solve."""
-    fresh = state.indexes.get(tag)
-    if fresh is None:
-        fresh = state.indexes[tag] = state.store.points_from(tag, state.lo, state.dirty, state.qi)
-    return fresh
-
-
-def _cached_index(rows: Callable, tag, indexes: dict) -> Callable:
-    """shape -> index(), the index of that shape over rows(), built once and
-    kept in `indexes`, which its owner empties when rows() may have changed."""
-
-    def index_for(shape: tuple) -> Callable[[], dict]:
-        key = (tag, shape)
-
-        def index() -> dict:
-            out = indexes.get(key)
-            if out is None:
-                out = indexes[key] = _index(rows(), shape)
-            return out
-
-        return index
-
-    return index_for
-
-
 class _PlanSource:
     """A plan being generated for a name's rules of one kind: its text, one
     loop nest per rule, and its factory's parameter values.  Rule variables
     are the locals v0, v1, ... in the order each nest binds them; constants,
     comparisons and sources are parameters, so no rule text reaches the
-    source, which is the same for names whose rules are alike in shape."""
+    source, which is the same for names whose rules are alike in shape.  Each
+    source is named once: by a parameter if the engine keeps it (`kept`), else
+    by a local set at the plan's top (`per_run`)."""
 
     def __init__(self, state: _QueryState):
-        self.params, self.values = ["state", "iv", "E", "cut"], [state, iv, _NONE, _cut]
+        self.params = ["state", "iv", "E", "OPEN", "cut", "points", "index"]
+        self.values = [state, iv, _NONE, OPEN, _cut, state.store.points_from, _index]
         self.vars: dict = {}  # rule variable -> its local
-        self.fetched: list[str] = []  # locals set where first needed, None before
+        self.sources: dict = {}  # a kept source's key -> its parameter
+        self.locals: dict = {}  # a per-run source's key -> its local
+        self.header: list[str] = []  # the line setting each local
         self.lines: list[str] = []
         self.depth, self.count = 2, itertools.count()
 
@@ -1089,6 +1076,24 @@ class _PlanSource:
         self.params.append(f"{prefix}{len(self.params)}")
         self.values.append(value)
         return self.params[-1]
+
+    def kept(self, key, make: Callable) -> str:
+        """The parameter holding make(), an object that lives as long as the
+        engine; one per key."""
+        if key not in self.sources:
+            self.sources[key] = self.param(make(), "s")
+        return self.sources[key]
+
+    def per_run(self, key, make: Callable[[], str]) -> str:
+        """The local set once at the plan's top to the text make(); one per key."""
+        if key not in self.locals:
+            self.locals[key] = f"x{len(self.header)}"
+            self.header.append(f"{self.locals[key]} = {make()}")
+        return self.locals[key]
+
+    def indexed(self, rows: str) -> Callable[[tuple], str]:
+        """shape -> the local of an index of that shape over a per-run local."""
+        return lambda shape: self.per_run((rows, shape), lambda: f"index({rows}, {shape!r})")
 
     def term(self, term, new: bool = False) -> str:
         """A variable's local (a new one with `new`), or a constant's parameter."""
@@ -1105,34 +1110,26 @@ class _PlanSource:
         """The text of a test that the intervals `ilist` are there and their
         last end, OPEN or `test` (such as ">= d"), reaches a time: constant
         time, where cutting would walk the whole list."""
-        return f"(s := {ilist}) and (s[-1][1] is None or s[-1][1] {test})"
+        return f"(s := {ilist}) and (s[-1][1] is OPEN or s[-1][1] {test})"
 
-    def fetch(self, make: Callable) -> str:
-        """A local holding make(), called once per run, where first needed."""
-        local = f"f{next(self.count)}"
-        self.fetched.append(local)
-        self.add(f"if {local} is None: {local} = {self.param(make, 'm')}()", False)
-        return local
-
-    def join(self, rows: Callable, index_for: Callable, terms: tuple) -> tuple[str, str]:
-        """Open the test or loop over the tuples of rows() that agree with the
+    def join(self, rows: str, index_for: Callable[[tuple], str], terms: tuple) -> str:
+        """Open the test or loop over the tuples of `rows` that agree with the
         bound ones among `terms`, binding the new ones: a probe when all are
-        bound, else a lookup in index_for(shape)() by the bound positions.
-        Returns the locals of rows() and of each tuple."""
-        local, at = self.fetch(rows), f"a{next(self.count)}"
+        bound, else a lookup in index_for(shape) by the bound positions.
+        Returns the local of each tuple."""
+        at = f"a{next(self.count)}"
         keyed = [pos for pos, t in enumerate(terms) if not is_var(t) or t in self.vars]
         key = _tuple_text([self.term(terms[pos]) for pos in keyed])
         if len(keyed) == len(terms):
-            self.add(f"if ({at} := {key}) in {local}:")
+            self.add(f"if ({at} := {key}) in {rows}:")
         elif not keyed:
-            self.add(f"for {at} in {local}:")
+            self.add(f"for {at} in {rows}:")
             self.add(f"if len({at}) == {len(terms)}:")
             self.bind(at, terms)
         else:
-            index = self.fetch(index_for((len(terms), tuple(keyed))))
-            self.add(f"for {at} in {index}.get({key}, ()):")
+            self.add(f"for {at} in {index_for((len(terms), tuple(keyed)))}.get({key}, ()):")
             self.bind(at, terms, keyed)
-        return local, at
+        return at
 
     def bind(self, at: str, terms: tuple, keyed=()):
         """Test a tuple's items outside its key against their constants and
@@ -1152,7 +1149,7 @@ class _PlanSource:
         through it keeps the plan's sources alive."""
         source = "\n".join([f"def make({', '.join(self.params)}):", "    def plan():",
                             "        lo, qi, d, out = state.lo, state.qi, state.dirty, []",
-                            f"        {' = '.join(self.fetched + ['None'])}", *self.lines,
+                            *["        " + line for line in self.header], *self.lines,
                             "        return out", "    return plan", ""])
         namespace: dict = {}
         exec(compile(source, filename, "exec"), namespace)

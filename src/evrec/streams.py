@@ -515,11 +515,18 @@ def engine_input(ed: EventDescription, records: Sequence[InputRecord],
     """A stream made ready for the engine: `ed` with its auto domains filled
     from the records, and the records with each coordinate sample, with every
     update or retract of its id, replaced by the closeness records of the
-    pairs `ed` grounds, appended at the end."""
+    pairs `ed` grounds, appended at the end.  A closeness record's id is
+    "close-" and a number, with one "+" more before the "-" while some
+    record's id starts like that, so no record asserts, revises or retracts
+    one of them."""
     ed = fill_auto_domains(ed, records)
     coord_ids = {r.id for r in records if r.kind == "coord"}
     out = [r for r in records if r.id not in coord_ids]
     coords = [r for r in records if r.id in coord_ids]
     if coords:
-        out += closeness(coords, all_pairs(ed), threshold)
+        close, prefix = closeness(coords, all_pairs(ed), threshold), "close-"
+        while any(r.id.startswith(prefix) for r in records):
+            prefix = prefix[:-1] + "+-"
+        out += close if prefix == "close-" else [
+            replace(r, id=prefix + r.id[len("close-"):]) for r in close]
     return ed, out

@@ -315,3 +315,23 @@ def test_run_reports_a_retract_of_an_unknown_kind_with_its_line(tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown record kind 'wat' (line 2)") and "Traceback" not in err
+
+
+def test_closeness_ids_never_equal_a_stream_id(tmp_path, capsys):
+    # walking(a) takes the id the first closeness record would get, and
+    # walking(b) the one with the prefix lengthened once; all of them and
+    # close(a, b) are applied, so both pairs move together
+    stream, out = tmp_path / "s.jsonl", tmp_path / "out.jsonl"
+    lines = ['{"id": "close-000001", "kind": "interval", "name": "walking", "args": ["a"], '
+             '"value": "true", "from": 0, "to": 40}',
+             '{"id": "close+-000002", "kind": "interval", "name": "walking", "args": ["b"], '
+             '"value": "true", "from": 0, "to": 40}']
+    lines += [f'{{"id": "{e}{t}", "kind": "coord", "entity": "{e}", "t": {t}, "x": {x}, "y": 0}}'
+              for t in range(1, 20) for e, x in (("a", 0), ("b", 3))]
+    stream.write_text("\n".join(lines) + "\n")
+    assert cli.main(["run", "--rules", RULES, "--input", str(stream), "--wm", "20",
+                     "--step", "10", "--out", str(out)]) == 0
+    assert "duplicate assert" not in capsys.readouterr().err
+    found = {(obj["name"], tuple(obj["args"])) for obj in map(json.loads, out.read_text().splitlines())}
+    assert found >= {(name, args) for name in ("moving", "moving_sd")
+                     for args in (("a", "b"), ("b", "a"))}

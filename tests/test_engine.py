@@ -450,9 +450,29 @@ def test_one_plan_per_rule_kind_and_head_name(monkeypatch):
         "happensAt": [], "over": ["person", "moving"]}
     assert len(built) == 9
     # moving's three initiations read close(P1, P2): one live loop, one test
-    source = engine._plans["over"]["moving"].source
+    plan = engine._plans["over"]["moving"]
+    source = plan.source
     assert source.count("state.live.items()") == 1
     assert len(re.findall(r"s\[-1\]\[1\] >= d\)", source)) == 1
+    # each source is named once, and no plan fetches one where first needed
+    assert not [kind for kind, per_name in engine._plans.items() for each in per_name.values()
+                if "is None" in each.source]
+    tags = re.findall(r"= points\((\w+), lo, d, qi\)", source)
+    assert sorted(closure(plan)[tag] for tag in tags) == [
+        ("close", "start", "true"), ("walking", "start", "true")]
+    # the store's content and join indexes, which it keeps, are the plans' own
+    store, plain = engine.store, engine._plans["initiatedAt"]["moving"]
+    assert {id(store.content[name]) for name in ("close", "walking")} <= {
+        id(value) for value in closure(plan).values()}
+    assert len(store.joins["close"]) == 2
+    assert {id(index) for index in store.joins["close"].values()} <= {
+        id(value) for value in closure(plain).values()}
+
+
+def closure(plan) -> dict:
+    """A generated plan's factory parameters by name."""
+    return {name: cell.cell_contents
+            for name, cell in zip(plan.__code__.co_freevars, plan.__closure__)}
 
 
 def replay_against_scratch(text, recs, wm, step, last_q) -> list:
