@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .engine import (ConfigError, EngineConfig, RecognitionResult, ResultEntry, run_stream,
-                     select_reported)
+from .engine import (ConfigError, Engine, EngineConfig, RecognitionResult, ResultEntry,
+                     query_schedule, select_reported)
 from .language import EventDescription, all_pairs
 
 
@@ -55,22 +56,15 @@ def write_report(reports: list[BenchReport], path):
             writer.writerow(rep.row())
 
 
-def partition_pairs(pairs: list[tuple], shards: int) -> list[set[tuple]]:
-    return [set(pairs[i::shards]) for i in range(shards)]
-
-
 def _shard_task(args):
-    ed, cfg, records, pair_filter, keep_unary, last_q = args
-    timings: list[float] = []
-    _engine, results = run_stream(
-        ed, cfg, records, last_q=last_q, pair_filter=pair_filter, timings=timings
-    )
-    kept = []
-    for res in results:
-        entries = [
-            e for e in res.entries if len(e.args) != 1 or keep_unary
-        ]
-        kept.append((res.q, entries))
+    ed, cfg, records, pair_filter, keep_unary = args
+    engine, timings, kept = Engine(ed, cfg, pair_filter=pair_filter), [], []
+    for qi, arriving in query_schedule(cfg, records):
+        engine.ingest(arriving)
+        t0 = time.perf_counter()
+        res = engine.query(qi)
+        timings.append((time.perf_counter() - t0) * 1000.0)
+        kept.append((qi, [e for e in res.entries if len(e.args) != 1 or keep_unary]))
     return timings, kept
 
 
@@ -79,9 +73,9 @@ def run_sharded(
     cfg: EngineConfig,
     records: list,
     shards: int,
-    last_q=None,
 ) -> tuple[list[RecognitionResult], list[float]]:
-    """Run the stream over `shards` worker processes and merge the results.
+    """Run the stream over `shards` shards and merge the results: one shard
+    runs in this process, more in worker processes.
 
     Returns merged per-query results and the effective per-query latencies
     (the slowest shard at each query, since shards run in parallel).
@@ -95,17 +89,12 @@ def run_sharded(
             f"using {max(1, len(pairs))}"
         )
         shards = max(1, len(pairs))
+    tasks = [(ed, cfg, records, set(pairs[i::shards]), i == 0) for i in range(shards)]
     if shards == 1:
-        timings: list[float] = []
-        _engine, results = run_stream(ed, cfg, records, last_q=last_q, timings=timings)
-        return results, timings
-
-    filters = partition_pairs(pairs, shards)
-    tasks = [
-        (ed, cfg, records, filters[i], i == 0, last_q) for i in range(shards)
-    ]
-    with ProcessPoolExecutor(max_workers=shards) as pool:
-        outputs = list(pool.map(_shard_task, tasks))
+        outputs = list(map(_shard_task, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            outputs = list(pool.map(_shard_task, tasks))
 
     per_query: dict[int, list[ResultEntry]] = {}
     for _timings, kept in outputs:

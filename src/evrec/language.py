@@ -215,6 +215,8 @@ class EventDescription:
     groundings: dict[str, DomainExpr] = field(default_factory=dict)
     rules: list[Rule] = field(default_factory=list)
     levels: dict[tuple, int] = field(default_factory=dict)  # ("fluent" | "event", name)
+    # DomainExpr -> its tuples, built once; a copy starts empty
+    _tuple_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kind_of(self, name: str) -> Optional[str]:
         decl = self.declarations.get(name)
@@ -243,6 +245,14 @@ class EventDescription:
         if expr.shape == "set":
             return [(m,) for m in members]
         return [(a, b) for a in members for b in members if a != b]
+
+    def grounding_set(self, name: str) -> frozenset:
+        """`grounded_tuples` as a set, built once per grounding expression, so
+        that the engines over one pack share it."""
+        expr = self.groundings[name]
+        if expr not in self._tuple_sets:
+            self._tuple_sets[expr] = frozenset(self.grounded_tuples(name))
+        return self._tuple_sets[expr]
 
     def with_domain(self, name: str, members: tuple[str, ...]) -> "EventDescription":
         """Return a copy with one domain replaced (used to fill `auto` domains)."""

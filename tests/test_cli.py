@@ -185,6 +185,20 @@ def test_sharded_runs_report_what_one_shard_reports_in_each_mode(tmp_path):
             "final": {"final"}}[mode]
 
 
+def test_more_shards_than_pair_groundings_run_one_shard_per_pair(tmp_path):
+    # 2 entities have 2 pair groundings, so 3 shards become 2 worker processes
+    stream = tmp_path / "s.jsonl"
+    streams.write_stream(generator.generate(generator.GenSpec(entities=2, duration=200, seed=1)),
+                         stream)
+    ed, records = cli._prepare(RULES, str(stream), 25.0)
+    cfg = EngineConfig(wm=50, step=25)
+    with pytest.warns(UserWarning, match="requested 3 shards for 2 pair groundings; using 2"):
+        three, latencies = bench.run_sharded(ed, cfg, records, 3)
+    one, _ = bench.run_sharded(ed, cfg, records, 1)
+    assert [r.entries for r in three] == [r.entries for r in one]
+    assert any(r.entries for r in one) and len(latencies) == len(one)
+
+
 # one malformed record per kind of field check in streams.parse_record, and
 # lines too deep or with too long an integer for json to read
 BAD_RECORDS = {

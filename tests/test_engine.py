@@ -21,6 +21,7 @@ from evrec.engine import (
     ResultEntry,
     SdeStore,
     _PlanSource,
+    query_schedule,
     record_arrival,
     record_occurrence,
     run_stream,
@@ -108,12 +109,16 @@ def test_late_record_dropped_with_diagnostic():
 
 
 def test_duplicate_assert_is_ignored():
-    ed = surveillance("p1")
-    eng = Engine(ed, EngineConfig(wm=50, step=50))
-    eng.ingest([ev(1, "appear", ("p1",), 5), ev(1, "appear", ("p1",), 8)])
-    eng.query(50)
-    assert eng.store.event_times("appear", ("p1",)) == [5]
-    assert any("duplicate" in d for d in eng.diagnostics)
+    # an event, then an interval, asserted again under the id it is stored by
+    for first, again, held in (
+            (ev(1, "appear", ("p1",), 5), ev(1, "appear", ("p1",), 8), ([5], [])),
+            (fl(1, "walking", ("p1",), 5, 20), fl(1, "walking", ("p1",), 8, 30), ([], [(5, 20)]))):
+        eng = Engine(surveillance("p1"), EngineConfig(wm=50, step=50))
+        eng.ingest([first, again])
+        eng.query(50)
+        assert (eng.store.event_times("appear", ("p1",)),
+                eng.store.fluent_intervals("walking", ("p1",), "true")) == held
+        assert any("duplicate" in d for d in eng.diagnostics)
 
 
 def test_retract_removes_and_changes_result():
@@ -304,13 +309,16 @@ def test_pair_filter_restricts_groundings():
 
 def test_names_over_one_grounding_share_its_tuples():
     # the pair names all range over pairs(entity): one set of tuples, cut to
-    # the pair filter once, which every plan over a pair name tests against
+    # the pair filter once, which every plan over a pair name tests against;
+    # the engines over one pack share the uncut set
     ed = surveillance("p1", "p2", "p3")
     pairs = set(itertools.permutations(("p1", "p2", "p3"), 2))
+    plain = Engine(ed, EngineConfig(wm=20, step=10))
     for pair_filter in (None, {("p1", "p2"), ("p3", "p1")}):
         engine = Engine(ed, EngineConfig(wm=20, step=10), pair_filter=pair_filter)
         shared = engine._grounded[ed.groundings["moving"]]
         assert shared == (pairs if pair_filter is None else pair_filter)
+        assert (plain._grounded[ed.groundings["moving"]] is shared) == (pair_filter is None)
         for name in ("moving_sd", "leaving_object"):
             assert engine._grounded[ed.groundings[name]] is shared
         assert engine._grounded[ed.groundings["person"]] == {("p1",), ("p2",), ("p3",)}
@@ -415,13 +423,23 @@ def test_plan_source_holds_no_rule_text():
     pattern = re.compile(r"\b(" + "|".join(renamed) + r")\b")
     twin = pattern.sub(lambda m: renamed[m.group(1)], SHAPES_PACK)
     assert twin != SHAPES_PACK
-    sources = []
-    for text in (SHAPES_PACK, twin):
-        ed, _ = lang.load(text)
-        engine = Engine(ed, EngineConfig(wm=40, step=40))
-        sources.append([plan.source for per_name in engine._plans.values()
-                        for plan in per_name.values()])
-    assert sources[0] == sources[1]
+    ed = lang.load(SHAPES_PACK)[0]
+    engines = [Engine(each, EngineConfig(wm=40, step=40)) for each in (ed, lang.load(twin)[0], ed)]
+    plans = [[plan for per_name in engine._plans.values() for plan in per_name.values()]
+             for engine in engines]
+    assert [plan.source for plan in plans[0]] == [plan.source for plan in plans[1]]
+    # so each text is compiled once: the twin's plans, and a second engine's
+    # over the pack, share each plan's code, but each binds its own store
+    for engine, each in zip(engines[1:], plans[1:]):
+        for mine, theirs in zip(plans[0], each):
+            assert theirs.__code__ is mine.__code__
+            assert closure(theirs)["state"].store is engine.store
+    store = engines[2].store
+    stored = {id(rows) for rows in store.content.values()} | {
+        id(index) for per_name in store.joins.values() for index in per_name.values()}
+    bound = [(closure(mine)[name], value) for mine, theirs in zip(plans[0], plans[2])
+             for name, value in closure(theirs).items() if id(value) in stored]
+    assert bound and all(mine is not theirs for mine, theirs in bound)
 
 
 
@@ -554,6 +572,40 @@ def test_a_late_record_for_a_fluent_without_initiations():
     assert [(e.name, e.args, e.start) for e in results[-1].entries] == [("f", ("a",), 13)]
 
 
+def test_plan_paths_of_a_bound_event_time_an_equality_and_a_one_input_union():
+    # both's second happensAt tests the time its first binds, over live
+    # groundings too once the late down(b) touches b; X == Y keeps ping(b, a)
+    # from ending both(b); union_all([I1], I) leaves g required, so mirror's
+    # groundings are drawn from g's rows
+    text = """domain ent = {a, b}
+input event up/1
+input event down/1
+input event ping/2
+input fluent g/1
+simple fluent both/1
+sd fluent mirror/1
+ground both over ent
+ground mirror over ent
+initiatedAt(both(X) = true, T) <- happensAt(up(X), T), happensAt(down(X), T).
+terminatedAt(both(X) = true, T) <- happensAt(ping(X, Y), T), X == Y.
+holdsFor(mirror(X) = true, I) <- holdsFor(g(X) = true, I1), union_all([I1], I).
+"""
+    recs = [ev(1, "up", ("a",), 5), ev(2, "down", ("a",), 5), ev(3, "up", ("b",), 7),
+            ev(4, "down", ("b",), 8), ev(5, "up", ("b",), 9), ev(6, "down", ("b",), 9, arrival=15),
+            ev(7, "ping", ("a", "a"), 12), ev(8, "ping", ("b", "a"), 14),
+            fl(9, "g", ("a",), 3, 20), fl(10, "g", ("b",), 25, OPEN)]
+    results = replay_against_scratch(text, recs, 30, 10, 40)
+    assert [sorted((e.name, e.args, e.start, e.end, e.stability) for e in r.entries)
+            for r in results] == [
+        [("both", ("a",), 6, OPEN, "open"), ("mirror", ("a",), 3, OPEN, "open")],
+        [("both", ("a",), 6, 12, "open"), ("both", ("b",), 10, OPEN, "open"),
+         ("mirror", ("a",), 3, 20, "open")],
+        [("both", ("a",), 6, 12, "partial"), ("both", ("b",), 10, OPEN, "open"),
+         ("mirror", ("a",), 3, 20, "partial"), ("mirror", ("b",), 25, OPEN, "open")],
+        [("both", ("a",), 6, 12, "final"), ("both", ("b",), 10, OPEN, "open"),
+         ("mirror", ("a",), 3, 20, "final"), ("mirror", ("b",), 25, OPEN, "open")]]
+
+
 def test_the_first_query_takes_no_record_as_late():
     # nothing is answered before the first query, so records at time 0 are
     # not late there, and no index over the groundings is built to find
@@ -614,6 +666,24 @@ def test_run_stream_orders_a_retract_tying_an_arrival():
             assert eng.diagnostics == []  # the retract found the record before it
             assert eng.store.event_times("appear", ("p1",)) == []
             assert [(e.start, e.end) for e in results[0].entries] == [(6, OPEN)]
+
+
+def test_query_schedule_yields_each_record_once_at_its_first_query():
+    cfg = EngineConfig(wm=40, step=10)
+    recs = [ev(1, "appear", ("p1",), 25, arrival=3), fl(2, "walking", ("p1",), 5, 8, arrival=20),
+            ev(3, "appear", ("p1",), 14, arrival=16), ev(4, "appear", ("p1",), 12),
+            InputRecord(id="e4", action="retract"), ev(5, "disappear", ("p1",), 33, arrival=21),
+            InputRecord(id="e1", action="retract", arrival=10)]
+    # the retract of e4 has no arrival, so it comes right after e4, at 12
+    want = [(10, ["e1", "e1"]), (20, ["e4", "e4", "e3", "f2"]), (30, ["e5"])]
+    # with last_q omitted, content reaches 33: the last query is the first
+    # multiple of step at or after 33 + wm
+    want += [(qi, []) for qi in range(40, 81, 10)]
+    got = [(qi, [r.id for r in arriving]) for qi, arriving in query_schedule(cfg, recs)]
+    assert got == want
+    assert [r.action for r in dict(query_schedule(cfg, recs))[20]] == [
+        "assert", "retract", "assert", "assert"]
+    assert list(query_schedule(cfg, recs, last_q=20)) == list(query_schedule(cfg, recs))[:2]
 
 
 def test_unreachable_literal_fails_when_the_engine_is_built():
