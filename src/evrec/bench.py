@@ -89,10 +89,10 @@ def run_sharded(
             f"using {max(1, len(pairs))}"
         )
         shards = max(1, len(pairs))
-    tasks = [(ed, cfg, records, set(pairs[i::shards]), i == 0) for i in range(shards)]
-    if shards == 1:
-        outputs = list(map(_shard_task, tasks))
+    if shards == 1:  # every pair: the engine shares the pack's grounding
+        outputs = [_shard_task((ed, cfg, records, None, True))]
     else:
+        tasks = [(ed, cfg, records, set(pairs[i::shards]), i == 0) for i in range(shards)]
         with ProcessPoolExecutor(max_workers=shards) as pool:
             outputs = list(pool.map(_shard_task, tasks))
 
@@ -126,8 +126,6 @@ def benchmark(
     for wm in wms:
         cfg = EngineConfig(wm=wm, step=step)
         _results, latencies = run_sharded(ed, cfg, records, shards)
-        if not latencies:
-            continue
         avg = statistics.fmean(latencies)
         p95 = sorted(latencies)[max(0, math.ceil(0.95 * len(latencies)) - 1)]
         reports.append(

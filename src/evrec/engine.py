@@ -45,13 +45,16 @@ and head name and one more over live groundings for the initiations of each
 name that reuses: a generated function, whose text is `plan.source`, that runs
 each rule's loop nest in turn.  A plan names each source it reads once: the
 store's content of an input fluent and its join indexes, which the store keeps
-current, and a grounding and its indexes are factory parameters; the input
-points from d, a derived fluent's or event's rows and an index over one of
-these are locals set once at the plan's top.  A point rule's nest is loops and
-tests in the order `language.join_order` gives, each reading its source
-through an index on the argument positions bound before it; a holdsFor rule's
-is a loop over the rows of its first required input over the head's variables,
-or over its grounding, then its conjuncts in body order.  The plans rely on
+current, and a grounding and its indexes are factory parameters.  A run's
+inputs are the plan's arguments, plan(lo, qi, d, live, derived, events), and
+the input points from d, a derived fluent's or event's rows and an index over
+one of these are locals set from them once at the plan's top.  A point rule's
+nest is loops and tests in the order `language.join_order` gives, each reading
+its source through an index on the argument positions bound before it; a
+holdsFor rule's is a loop over the rows of its first required input over the
+head's variables, or over its grounding, then its conjuncts in body order,
+each cut to its part from the grounding's d on, with an interval reaching past
+Qi left OPEN, as the answer gives it.  The plans rely on
 validate's checks and repeat none of them; only an ordering comparison on
 non-integer values, which depends on the data, fails at query time.
 Terminations are evaluated only for groundings that can hold from their
@@ -154,17 +157,17 @@ def select_reported(entries: Iterable[ResultEntry], mode: str) -> list[ResultEnt
 
 
 def _cut(ilist: IntervalList, since: int, bound: int) -> IntervalList:
-    """A holdsFor conjunct's intervals from `since` on, cut at `bound` for set
-    arithmetic: drop what starts after it, and end what reaches further, or is
-    OPEN, one past it."""
-    ilist = iv.clip_before(ilist, since - 1)[1]
-    if not ilist or ilist[-1][1] is not OPEN and ilist[-1][1] <= bound + 1:
-        return ilist
+    """A holdsFor conjunct's intervals from `since` on, as the window's answer
+    at `bound` gives them: drop what ends by `since` or starts after `bound`,
+    and make an end past `bound` OPEN, since it is not known yet.  The set
+    operations are pointwise, so their results keep such tails OPEN."""
     out = []
     for s, e in ilist:
-        if s > bound:
-            break
-        out.append((s, bound + 1) if e is OPEN or e > bound + 1 else (s, e))
+        if e is OPEN or e > since:
+            s = max(s, since)
+            if s > bound:
+                break
+            out.append((s, e if e is not OPEN and e <= bound else OPEN))
     return out
 
 
@@ -198,13 +201,6 @@ def _joined(carried: dict, lo: int, since: int, fresh: dict) -> dict:
         if ts:
             out[value] = sorted(ts.union(out.get(value, ())))
     return out
-
-
-def _reopen(ilist: IntervalList, bound: int) -> IntervalList:
-    """Mark a tail that reaches the computation bound as OPEN again."""
-    if ilist and ilist[-1][1] is not OPEN and ilist[-1][1] >= bound + 1:
-        return ilist[:-1] + [(ilist[-1][0], OPEN)]
-    return ilist
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +379,7 @@ class SdeStore:
         for slot in self._stale:
             name, args = slot[0], slot[1]
             if len(slot) == 2:  # an event's
-                new = sorted({t for t, _id in self.events.get(name, _NONE).get(args, ())})
+                new = self.event_times(name, args)
                 self._move((name, "happens", None), args, self.times.pop(slot, []), new, lo)
                 if new:
                     self.times[slot] = new
@@ -459,7 +455,8 @@ class SdeStore:
         return out
 
     def event_times(self, name: str, args: tuple) -> list[int]:
-        return sorted(t for t, _id in self.events.get(name, _NONE).get(args, ()))
+        """The distinct times an event slot holds, ascending."""
+        return sorted({t for t, _id in self.events.get(name, _NONE).get(args, ())})
 
     def fluent_intervals(self, name: str, args: tuple, value) -> IntervalList:
         slot = self.durative.get(name, _NONE).get(args, _NONE).get(value)
@@ -495,21 +492,6 @@ def _drop_empty(container: dict, key):
 # Engine
 
 
-class _QueryState:
-    """What the compiled plans read while a query runs.  Plans hold this, not
-    the engine, so an engine is in no reference cycle and is freed when dropped."""
-
-    def __init__(self, store: SdeStore):
-        self.store, self.qi, self.lo = store, 0, 0
-        self.dirty = 0  # the least dirty-from time of the solve running
-        self.derived: dict[str, dict] = {}  # name -> args -> value -> intervals
-        self.events: dict[str, dict] = {}  # name -> args -> times of a derived event
-        # grounding -> its own d: those a plan over live groundings, a
-        # termination's or a touched initiation's, runs over, or for a
-        # holdsFor plan those whose d is not state.dirty
-        self.live: dict[tuple, int] = {}
-
-
 class Engine:
     def __init__(
         self,
@@ -529,8 +511,11 @@ class Engine:
         self.diagnostics: list[str] = []
         self._ties: set[tuple] = set()  # (name, args, t) of initiation ties reported
         self.next_q = cfg.step
-        self._prev_derived: dict[str, dict] = {}  # the last query's state.derived
-        self._prev_events: dict[str, dict] = {}  # the last query's state.events
+        self._lo = self._qi = 0  # this query's window start (Qi - wm + 1) and Qi
+        self._derived: dict[str, dict] = {}  # name -> args -> value -> intervals at this query
+        self._events: dict[str, dict] = {}  # name -> args -> times of a derived event
+        self._prev_derived: dict[str, dict] = {}  # the last query's _derived
+        self._prev_events: dict[str, dict] = {}  # the last query's _events
         self._starts: dict[str, dict] = {}  # name -> args -> value -> initiations in window
         self._ends: dict[str, dict] = {}  # name -> args -> value -> terminations solved in window
         # the last query's answers hold up to this time; minus infinity, as
@@ -541,7 +526,6 @@ class Engine:
         self._late: dict[tuple, int] = {}  # input key -> its change time, if before _d0
         self._touched: dict[tuple, tuple] = {}  # this query's _dirty_from by reads
         self._entries: dict[tuple, tuple] = {}  # (name, args) -> the last _entries_of
-        self._state = _QueryState(self.store)
         self._domain_indexes: dict[tuple, dict] = {}  # (expr, shape) -> one, for _dirty_from
 
         heads = {r.head.name for r in ed.rules}
@@ -643,10 +627,9 @@ class Engine:
         self._late = {key: t for key, t in self.store.changed.items() if t < self._d0}
         self.store.changed, self._touched = {}, {}
 
-        state = self._state
-        state.qi, state.lo = qi, boundary + 1
-        self._prev_derived, self._prev_events = state.derived, state.events
-        state.derived, state.events = {}, {}
+        self._lo, self._qi = boundary + 1, qi
+        self._prev_derived, self._prev_events = self._derived, self._events
+        self._derived, self._events = {}, {}
         for name, compute in self._schedule:
             compute(self, name)
 
@@ -662,15 +645,16 @@ class Engine:
 
     # -- rule plans ----------------------------------------------------------
 
-    def _compile(self, rules: list[Rule], over_live: bool) -> Callable[[], list]:
-        """Compile a name's rules of one kind into a plan (`_PlanSource`) that
-        runs each rule's loop nest in turn, giving (head arguments, value, T)
-        per solution, or (head arguments, value, intervals) per grounding.
-        Every source the rules read is named once in the plan: a parameter
-        for one the engine keeps, a local set at its top for one each run
-        reads afresh.  With `over_live` it runs the nests in one loop over
-        state.live, binding the head and d of each grounding."""
-        kind, src = rules[0].kind, _PlanSource(self._state)
+    def _compile(self, rules: list[Rule], over_live: bool) -> Callable[..., list]:
+        """Compile a name's rules of one kind into a plan (`_PlanSource`),
+        plan(lo, qi, d, live, derived, events), that runs each rule's loop
+        nest in turn, giving (head arguments, value, T) per solution, or (head
+        arguments, value, intervals) per grounding.  Every source the rules
+        read is named once in the plan: a factory parameter for one the
+        engine keeps, a local set at its top from the arguments for one each
+        run reads afresh.  With `over_live` it runs the nests in one loop over
+        `live`, binding the head and d of each grounding."""
+        kind, src = rules[0].kind, _PlanSource(self.store)
         # A grounding with neither an initiation nor a kept start cannot hold,
         # so only the live ones need their terminations.  An initiation is
         # solved over given groundings from their own d, by a rule only where
@@ -682,7 +666,7 @@ class Engine:
                  for rule in rules]
         tests = {key: f"r{n}" for n, key in enumerate(dict.fromkeys(itertools.chain(*reach)))}
         if over_live:
-            src.add("for a, d in state.live.items():")
+            src.add("for a, d in live.items():")
         whole = tuple(range(len(rules[0].head.args)))
         for (name, value, at), local in tests.items():
             key = "a" if at == whole else _tuple_text(
@@ -709,7 +693,7 @@ class Engine:
         """Add an initiatedAt, terminatedAt or happensAt rule's loop nest to a
         plan; the texts of its head arguments and T.  Its `d` is the
         dirty-from time that a happensAt literal with its time unbound reads:
-        state.dirty, or over live groundings each one's own."""
+        the plan's argument, or over live groundings each one's own."""
         name, head = rule.head.name, rule.head.args
         for lit in join_order(rule, over_live):
             self._literal(src, lit)
@@ -746,7 +730,7 @@ class Engine:
             which = "start_points" if event.which == "start" else "end_points"
             points = f"iv.{which}({{0}}.get({{1}}, E).get({value}, ()))"
         else:
-            rows = src.per_run(name, lambda: f"state.events.get({src.param(name)}, E)")
+            rows = src.per_run(name, lambda: f"events.get({src.param(name)}, E)")
         points = points.format(rows, src.join(rows, src.indexed(rows), terms_of(lit)))
         if lit.time in src.vars:  # before this literal, or by its own arguments
             # only check that the event happens then
@@ -767,11 +751,11 @@ class Engine:
         any index over them are locals set once per run.  Input content may
         reach past Qi, where evaluation cuts it."""
         if self.ed.is_input(name):
-            store = self._state.store
+            store = self.store
             rows = src.kept(name, lambda: store.content.setdefault(name, {}))
             return rows, lambda shape: src.kept((name, shape),
                                                 lambda: store.join_index(name, shape))
-        rows = src.per_run(name, lambda: f"state.derived.get({src.param(name)}, E)")
+        rows = src.per_run(name, lambda: f"derived.get({src.param(name)}, E)")
         return rows, src.indexed(rows)
 
     def _grounding(self, src: _PlanSource, name: str) -> tuple[str, Callable[[tuple], str]]:
@@ -785,8 +769,8 @@ class Engine:
     def _compile_sd(self, src: _PlanSource, rule: Rule) -> tuple[str, str]:
         """Add a holdsFor rule's loop nest to a plan; the texts of its head
         arguments and intervals, for each grounding whose required conjuncts
-        have content from its own dirty-from time e, its state.live entry or
-        else d, on.  The groundings come from the rows of the first required
+        have content from its own dirty-from time e, its `live` entry or else
+        d, on.  The groundings come from the rows of the first required
         holdsFor literal over exactly the head's variables that also have
         content reaching past e, else from the declared grounding.  The
         comparisons, which read only head variables, are tested as soon as a
@@ -803,7 +787,7 @@ class Engine:
         for lit in rule.body:
             if isinstance(lit, Comparison):
                 self._literal(src, lit)
-        src.add(f"e = state.live.get({args}, d)", False)
+        src.add(f"e = live.get({args}, d)", False)
         if source is not None:
             test = src.reaches(f"{rows}[{at}].get({src.param(source.fluent.value)})", "> e")
             src.add(f"if {test}:")
@@ -840,13 +824,13 @@ class Engine:
         of the plan, if any, at the window start and from `since` on: one time
         for all groundings, or a map from each grounding to its own time,
         which also gives the groundings a plan over live groundings runs over."""
-        state, out = self._state, {} if out is None else out
+        out, live = {} if out is None else out, _NONE
         if isinstance(since, dict):
             if not since:
                 return out  # nothing to solve, so no per-run source to read
-            state.live, since = since, min(since.values())
-        state.dirty = since
-        for args, value, t in plan() if plan else ():
+            live, since = since, min(since.values())
+        for args, value, t in plan(self._lo, self._qi, since, live, self._derived,
+                                   self._events) if plan else ():
             out.setdefault(args, {}).setdefault(value, set()).add(t)
         return out
 
@@ -856,7 +840,7 @@ class Engine:
         changed before d, from that change on.  It is the window start for
         all if the name reuses nothing (`_reuses_nothing`); for an event the
         earliest such change is every grounding's."""
-        lo, d0, reads = self._state.lo, self._d0, self._reads[name]
+        lo, d0, reads = self._lo, self._d0, self._reads[name]
         if reads is None:
             return lo, _NONE
         if not self._late:
@@ -889,8 +873,7 @@ class Engine:
         get terminations, from lo where they may hold in (lo, d) with none
         solved there: (a) that interval ends at lo, whose end forgetting may
         drop, or (b) a value neither held nor initiated at lo is initiated there."""
-        state = self._state
-        lo, qi = state.lo, state.qi
+        lo, qi = self._lo, self._qi
         floor, touched = self._dirty_from(name)
         fresh = self._solve(self._plans[INITIATED].get(name), floor)
         if touched:  # each touched grounding's initiations from its own d
@@ -910,7 +893,7 @@ class Engine:
                 if old:
                     starts[args] = old
                 if ivs:
-                    state.derived.setdefault(name, {})[args] = ivs
+                    self._derived.setdefault(name, {})[args] = ivs
                 if carried := _joined(last_ends.get(args, _NONE), lo, dirty, _NONE):
                     ends[args] = carried
                 continue
@@ -939,7 +922,7 @@ class Engine:
                 breaks = sorted({*en.get(value, ()), *others}) if others else en.get(value, [])
                 ilist = iv.make_intervals(kept.get(value, []) + st.get(value, []), breaks, qi)
                 if ilist:
-                    state.derived.setdefault(name, {}).setdefault(args, {})[value] = ilist
+                    self._derived.setdefault(name, {}).setdefault(args, {})[value] = ilist
 
     def _break_ties(self, name: str, fresh: dict):
         """Simultaneous initiations of two values: the first-declared value
@@ -963,10 +946,9 @@ class Engine:
         self.diagnostics.extend(message for _args, _t, message in sorted(ties))
 
     def _compute_sd_fluent(self, name: str):
-        state, per_args = self._state, {}
+        per_args, lo, plan = {}, self._lo, self._plans[HOLDS_FOR][name]
         floor, touched = self._dirty_from(name)
-        state.dirty, state.live = floor, touched
-        for args, value, fresh in self._plans[HOLDS_FOR][name]():
+        for args, value, fresh in plan(lo, self._qi, floor, touched, self._derived, self._events):
             slot = per_args.setdefault(args, {})
             slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
         # the last query's result before each grounding's dirty-from time
@@ -976,26 +958,26 @@ class Engine:
         for args, per_value in self._prev_derived.get(name, {}).items():
             dirty = touched.get(args, floor)
             for value, ilist in per_value.items():
-                if part := _carried(ilist, state.lo, dirty):
+                if part := _carried(ilist, lo, dirty):
                     carried.setdefault(args, {})[value] = part
         for args in per_args.keys() | carried.keys():
             fresh, carry, result = per_args.get(args, {}), carried.get(args, {}), {}
             for value in fresh.keys() | carry.keys():
-                ilist = _reopen(iv.amalgamate(carry.get(value, []), fresh.get(value, [])), state.qi)
+                ilist = iv.amalgamate(carry.get(value, []), fresh.get(value, []))
                 if ilist:
                     result[value] = ilist
             if result:
-                state.derived.setdefault(name, {})[args] = result
+                self._derived.setdefault(name, {})[args] = result
 
     def _compute_events(self, name: str):
         """The last query's occurrences before the dirty-from time carry over;
         it is the earliest of any grounding's."""
-        state, dirty = self._state, self._dirty_from(name)[0]
-        occurrences = {args: {t for t in ts if state.lo < t < dirty}
+        lo, dirty = self._lo, self._dirty_from(name)[0]
+        occurrences = {args: {t for t in ts if lo < t < dirty}
                        for args, ts in self._prev_events.get(name, _NONE).items()}
         for args, per_value in self._solve(self._plans[HAPPENS][name], dirty).items():
             occurrences.setdefault(args, set()).update(per_value[None])
-        state.events[name] = {args: sorted(ts) for args, ts in occurrences.items() if ts}
+        self._events[name] = {args: sorted(ts) for args, ts in occurrences.items() if ts}
 
     # -- reporting -----------------------------------------------------------
 
@@ -1006,7 +988,7 @@ class Engine:
         flips a stability."""
         next_boundary = qi + self.cfg.step - self.cfg.wm
         last, kept, entries = self._entries, {}, []
-        for name, per_args in sorted(self._state.derived.items()):
+        for name, per_args in sorted(self._derived.items()):
             for args in sorted(per_args):
                 key, per_value = (name, args), per_args[args]
                 was = last.get(key)
@@ -1064,11 +1046,13 @@ class _PlanSource:
     comparisons and sources are parameters, so no rule text reaches the
     source, which is the same for names whose rules are alike in shape.  Each
     source is named once: by a parameter if the engine keeps it (`kept`), else
-    by a local set at the plan's top (`per_run`)."""
+    by a local set at the plan's top from the plan's arguments (`per_run`).
+    The parameters bind the store, `points` to its `points_from`, never the
+    engine, so a dropped engine is in no reference cycle."""
 
-    def __init__(self, state: _QueryState):
-        self.params = ["state", "iv", "E", "OPEN", "cut", "points", "index"]
-        self.values = [state, iv, _NONE, OPEN, _cut, state.store.points_from, _index]
+    def __init__(self, store: SdeStore):
+        self.params = ["iv", "E", "OPEN", "cut", "points", "index"]
+        self.values = [iv, _NONE, OPEN, _cut, store.points_from, _index]
         self.vars: dict = {}  # rule variable -> its local
         self.sources: dict = {}  # a kept source's key -> its parameter
         self.locals: dict = {}  # a per-run source's key -> its local
@@ -1147,13 +1131,13 @@ class _PlanSource:
             if is_var(t) and t not in self.vars:
                 self.add(f"{self.term(t, new=True)} = {at}[{pos}]", False)
 
-    def build(self, filename: str) -> Callable[[], list]:
-        """Make the plan by calling the factory, compiled once per text
-        (`_CODE`), with this engine's values, and keep its text as
-        `plan.source`.  The factory leaves the namespace, so that no cycle
-        through it keeps the plan's sources alive."""
-        source = "\n".join([f"def make({', '.join(self.params)}):", "    def plan():",
-                            "        lo, qi, d, out = state.lo, state.qi, state.dirty, []",
+    def build(self, filename: str) -> Callable[..., list]:
+        """Make the plan, plan(lo, qi, d, live, derived, events), by calling
+        the factory, compiled once per text (`_CODE`), with this engine's
+        values, and keep its text as `plan.source`.  The factory leaves the
+        namespace, so that no cycle through it keeps the plan's sources alive."""
+        source = "\n".join([f"def make({', '.join(self.params)}):",
+                            "    def plan(lo, qi, d, live, derived, events):", "        out = []",
                             *["        " + line for line in self.header], *self.lines,
                             "        return out", "    return plan", ""])
         code = _CODE.get(source)

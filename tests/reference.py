@@ -5,8 +5,10 @@ avoiding the interval-list algorithms under test.  Slow and obvious beats
 fast and clever for an oracle.  The exceptions keep an earlier, plainer
 body of a function under test: `pairwise_closeness` is the per-pair
 closeness preprocessor that the grid join replaced, `make_intervals` the
-step-by-step inertia, and `read_stream` the stream reader that parses each
-line with `json.loads` and each field through its own helper.
+step-by-step inertia, `read_stream` the stream reader that parses each
+line with `json.loads` and each field through its own helper, and `cut` and
+`reopen` the holdsFor conjunct cut that ended OPEN tails one past the query
+time, and the step that made them OPEN again.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from evrec import intervals as iv
 from evrec.intervals import MalformedIntervalError
 from evrec.streams import InputRecord, StreamDocument, StreamFormatError
 
@@ -438,6 +441,33 @@ def make_intervals(
         while i < len(starts) and starts[i] < tf:
             i += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# A holdsFor conjunct's cut as `engine._cut` made it: OPEN tails end one past
+# `bound`, and `reopen` makes a result's tail reaching there OPEN again.
+
+
+def cut(ilist: IntervalList, since: int, bound: int) -> IntervalList:
+    """A holdsFor conjunct's intervals from `since` on, cut at `bound` for set
+    arithmetic: drop what starts after it, and end what reaches further, or is
+    OPEN, one past it."""
+    ilist = iv.clip_before(ilist, since - 1)[1]
+    if not ilist or ilist[-1][1] is not OPEN and ilist[-1][1] <= bound + 1:
+        return ilist
+    out = []
+    for s, e in ilist:
+        if s > bound:
+            break
+        out.append((s, bound + 1) if e is OPEN or e > bound + 1 else (s, e))
+    return out
+
+
+def reopen(ilist: IntervalList, bound: int) -> IntervalList:
+    """Mark a tail that reaches the computation bound as OPEN again."""
+    if ilist and ilist[-1][1] is not OPEN and ilist[-1][1] >= bound + 1:
+        return ilist[:-1] + [(ilist[-1][0], OPEN)]
+    return ilist
 
 
 # ---------------------------------------------------------------------------

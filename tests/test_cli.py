@@ -199,6 +199,27 @@ def test_more_shards_than_pair_groundings_run_one_shard_per_pair(tmp_path):
     assert any(r.entries for r in one) and len(latencies) == len(one)
 
 
+def test_one_shard_shares_the_packs_pair_grounding(tmp_path, monkeypatch):
+    # one shard holds every pair, so its engine cuts no private copy of them
+    stream = tmp_path / "s.jsonl"
+    streams.write_stream(generator.generate(generator.GenSpec(entities=3, duration=100, seed=1)),
+                         stream)
+    ed, records = cli._prepare(RULES, str(stream), 25.0)
+    made = []
+
+    class Recorded(bench.Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(bench, "Engine", Recorded)
+    bench.benchmark(ed, records, [50, 100], 25)
+    assert len(made) == 2
+    for engine in made:
+        for name in ("moving", "moving_sd"):
+            assert engine._grounded[ed.groundings[name]] is ed.grounding_set(name)
+
+
 # one malformed record per kind of field check in streams.parse_record, and
 # lines too deep or with too long an integer for json to read
 BAD_RECORDS = {
@@ -349,3 +370,22 @@ def test_closeness_ids_never_equal_a_stream_id(tmp_path, capsys):
     found = {(obj["name"], tuple(obj["args"])) for obj in map(json.loads, out.read_text().splitlines())}
     assert found >= {(name, args) for name in ("moving", "moving_sd")
                      for args in (("a", "b"), ("b", "a"))}
+
+
+def test_run_prints_the_readers_and_the_engines_diagnostics(tmp_path, capsys):
+    # a retract of an id never asserted, which both the reader and the engine
+    # report, and an event arriving after its window, which the engine drops
+    stream, out = tmp_path / "s.jsonl", tmp_path / "out.jsonl"
+    stream.write_text(
+        '{"id": "w1", "kind": "interval", "name": "walking", "args": ["p1"], "value": "true", '
+        '"from": 2, "to": 30}\n'
+        '{"id": "ghost", "action": "retract"}\n'
+        '{"id": "late", "kind": "event", "name": "appear", "args": ["p1"], "t": 3, '
+        '"arrival": 100}\n')
+    assert cli.main(["run", "--rules", RULES, "--input", str(stream), "--wm", "20",
+                     "--step", "10", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "line 2: retract references id 'ghost' not asserted earlier in this file",
+        "retract of unknown or already-forgotten record id 'ghost'",
+        "record 'late' occurred at 3, at or before the window start 80; dropped",
+    ]

@@ -431,9 +431,10 @@ def test_plan_source_holds_no_rule_text():
     # so each text is compiled once: the twin's plans, and a second engine's
     # over the pack, share each plan's code, but each binds its own store
     for engine, each in zip(engines[1:], plans[1:]):
+        reading = [closure(theirs)["points"] for theirs in each if "points" in closure(theirs)]
+        assert reading and all(points.__self__ is engine.store for points in reading)
         for mine, theirs in zip(plans[0], each):
             assert theirs.__code__ is mine.__code__
-            assert closure(theirs)["state"].store is engine.store
     store = engines[2].store
     stored = {id(rows) for rows in store.content.values()} | {
         id(index) for per_name in store.joins.values() for index in per_name.values()}
@@ -470,7 +471,7 @@ def test_one_plan_per_rule_kind_and_head_name(monkeypatch):
     # moving's three initiations read close(P1, P2): one live loop, one test
     plan = engine._plans["over"]["moving"]
     source = plan.source
-    assert source.count("state.live.items()") == 1
+    assert source.count("live.items()") == 1
     assert len(re.findall(r"s\[-1\]\[1\] >= d\)", source)) == 1
     # each source is named once, and no plan fetches one where first needed
     assert not [kind for kind, per_name in engine._plans.items() for each in per_name.values()
@@ -891,7 +892,7 @@ def assert_state_stays_inside_the_window(ed, recs, wm):
             for index in shapes.values():
                 assert sum(map(len, index.values())) <= len(store.content[name])
         assert engine._entries.keys() == {(name, args) for name, per_args in
-                                          engine._state.derived.items() for args in per_args}
+                                          engine._derived.items() for args in per_args}
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1085,7 @@ def test_each_touched_grounding_is_solved_from_its_own_dirty_from_time(monkeypat
 
     def spy(self, plan, since, out=None):
         if isinstance(since, dict):  # this run's solutions alone
-            runs.append((self._state.lo, since, solve(self, plan, since)))
+            runs.append((self._lo, since, solve(self, plan, since)))
         return solve(self, plan, since, out)
 
     monkeypatch.setattr(Engine, "_solve", spy)

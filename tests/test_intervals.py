@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evrec import intervals as iv
+from evrec.engine import _cut
 from evrec.intervals import OPEN
 
 import reference
@@ -231,3 +232,31 @@ def test_normalize_returns_the_canonical_form_of_a_canonical_list():
     assert got == [(1, 3), (5, 8)] and all(type(item) is tuple for item in got)
     got = iv.normalize([(1.0, 3.0)])
     assert got == [(1, 3)] and all(type(x) is int for x in got[0])
+
+
+def test_cut_makes_an_end_past_the_bound_open():
+    # from 3 on, as far as 10: (8, 11) reaches past it, (11, OPEN) starts after it
+    assert _cut([(2, 5), (8, 11), (12, OPEN)], 3, 10) == [(3, 5), (8, OPEN)]
+    assert _cut([(2, 3), (6, 10), (11, OPEN)], 3, 10) == [(6, 10)]
+    assert _cut([(2, 5)], 11, 10) == []
+
+
+COMBINE = {
+    "union": iv.union_all,
+    "intersection": iv.intersect_all,
+    "complement": lambda lists: iv.relative_complement_all(lists[0], lists[1:]),
+}
+
+
+@settings(max_examples=1000)
+@given(st.lists(canonical_lists(), min_size=1, max_size=3), st.integers(0, 100),
+       st.integers(-5, 80), st.sampled_from(sorted(COMBINE)))
+def test_cut_under_set_operations_equals_the_old_cut_reopened(lists, since, span, op):
+    """The one-pass cut, which leaves a tail past `bound` OPEN, gives under a
+    union, intersection or complement what the earlier cut, which ended it
+    one past `bound`, gave once the result's tail there was made OPEN."""
+    bound, combine = since + span, COMBINE[op]
+    cuts = [_cut(ilist, since, bound) for ilist in lists]
+    assert all(iv.is_canonical(each) for each in cuts)
+    old = combine([reference.cut(ilist, since, bound) for ilist in lists])
+    assert combine(cuts) == reference.reopen(old, bound)

@@ -3,6 +3,7 @@ import importlib.resources as res
 import pytest
 
 from evrec import language as lang
+from evrec.engine import ConfigError, Engine, EngineConfig
 from evrec.language import (
     HOLDS_FOR,
     INITIATED,
@@ -121,6 +122,64 @@ def test_a_fluent_without_a_grounding_is_reported_at_its_first_rule():
     errors = [d for d in lang.load(text)[1] if d.severity == "error"]
     assert [(d.line, d.message) for d in errors] == [
         (5, "no grounding domain declared for 'f'")]
+
+# rule packs each with one error, and where it is reported: a rule on line 8
+# follows packs.DECLARATIONS; a column is that of the token the parser
+# stopped at
+_RULE = packs.DECLARATIONS + "initiatedAt(f(X) = true, T) <- "
+PACK_ERRORS = {
+    "unexpected character": ("input event e/1\ninput event @/1\n",
+                             "unexpected character '@' (line 2, column 13)"),
+    "no arity": ("input event e/x\n", "expected an arity (line 1, column 15)"),
+    "no name": ("input event E/1\n", "expected a name (line 1, column 13)"),
+    "no variable": (packs.DECLARATIONS + "initiatedAt(f(X) = true, t) <- happensAt(e(X), t).\n",
+                    "expected a variable (line 8, column 26)"),
+    "no constant": ("domain ent = {a, B}\n", "expected a constant (line 1, column 18)"),
+    "no term": (_RULE + "happensAt(e(=), T).\n", "expected a term (line 8, column 44)"),
+    "domain twice": ("domain ent = {a}\ndomain ent = {b}\n",
+                     "domain 'ent' declared twice (line 2, column 8)"),
+    "grounding twice": (packs.DECLARATIONS + "ground f over ent\n",
+                        "grounding for 'f' declared twice (line 8, column 8)"),
+    "neither declaration nor clause": (
+        packs.DECLARATIONS + "42.\n",
+        "expected a declaration or clause, found '42' (line 8, column 1)"),
+    "unknown operator": (_RULE + "happensAt(e(X), T), X = a.\n",
+                         "unknown predicate or operator '=' (line 8, column 54)"),
+    "no iff": (packs.DECLARATIONS + "h(X) = true if g(X) = true.\n",
+               "expected 'iff' (line 8, column 13)"),
+    "negated group": (packs.DECLARATIONS + "h(X) = true iff not (g(X) = true).\n",
+                      "negation applies to a single fluent-value only (line 8, column 21)"),
+    "negation in a disjunction": (
+        packs.DECLARATIONS + "h(X) = true iff (g(X) = true or not g(X) = false).\n",
+        "negation is not allowed inside a disjunction (line 8, column 33)"),
+    "group after a negation": (
+        packs.DECLARATIONS + "h(X) = true iff not g(X) = false, (g(X) = true).\n",
+        "negated conjuncts must come last (line 8, column 48)"),
+    "conjunct after a negation": (
+        packs.DECLARATIONS + "h(X) = true iff not g(X) = false, g(X) = true.\n",
+        "negated conjuncts must come last (line 8, column 35)"),
+    "only negations": (
+        packs.DECLARATIONS + "h(X) = true iff not g(X) = false.\n",
+        "shorthand definition needs at least one positive conjunct (line 8, column 1)"),
+    # validate's, which has no column, and the engine's, which has no line
+    "variable head value": (
+        packs.DECLARATIONS + "initiatedAt(f(X) = V, T) <- happensAt(e(X), T).\n",
+        "error: head value of f(X) = V must be a constant (line 8)"),
+    "unstratified pack": (_RULE + "happensAt(e(X), T).\n",
+                          "event description must be stratified before use"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACK_ERRORS))
+def test_each_rule_pack_error_gives_its_place(case):
+    text, says = PACK_ERRORS[case]
+    if case == "variable head value":
+        assert [str(d) for d in lang.load(text)[1] if d.severity == "error"] == [says]
+        return
+    with pytest.raises(ConfigError if case == "unstratified pack" else RuleSyntaxError) as caught:
+        Engine(lang.parse(text), EngineConfig(wm=10, step=10))
+    assert str(caught.value) == says
+
 
 def test_duplicate_declaration_rejected():
     with pytest.raises(RuleSyntaxError):
