@@ -236,18 +236,17 @@ class SdeStore:
         # has dropped or cut since lies before the window start, which no
         # read looks at.  `at` maps (name, "start" or "end", value) of a fluent
         # and (name, "happens", None) of an event to the argument tuples with
-        # a point at each time from the window start on; `covering` maps
-        # (name, value) to those whose content holds at the window start,
-        # where the window sees it start.  `joins` maps a fluent name and a
-        # shape (arity, positions) to its argument tuples in `content` of that
-        # arity by their values at those positions, built by `join_index` and
-        # kept up to date as tuples enter and leave `content`.
+        # a point at each time from the window start on; an interval that
+        # forgetting cuts starts at the window start, and `forget` adds that
+        # start.  `joins` maps a fluent name and a shape (arity, positions) to
+        # its argument tuples in `content` of that arity by their values at
+        # those positions, built by `join_index` and kept up to date as tuples
+        # enter and leave `content`.
         self.content: dict[str, dict[tuple, dict[object, IntervalList]]] = {}
         self.times: dict[tuple, list[int]] = {}
         self.at: dict[tuple, dict[int, set[tuple]]] = {}
-        self.covering: dict[tuple, set[tuple]] = {}
         self.joins: dict[str, dict[tuple, dict[tuple, list]]] = {}
-        self._stale: set[tuple] = set()  # slots changed since the last index
+        self._stale: set[tuple] = set()  # slots to refresh at the next index
         self._lo = 0  # the window start of the last index
 
     def add_event(self, rec_id: str, name: str, args: tuple, t: int) -> bool:
@@ -314,8 +313,10 @@ class SdeStore:
 
     def forget(self, boundary: int):
         """Drop all content at or before `boundary`; straddling intervals keep
-        only the part strictly after it.  Only the items that start by
-        `boundary` and the intervals cut at the last window start are read."""
+        only the part strictly after it, which starts at `boundary + 1`.  Only
+        the items that start by `boundary` and the intervals cut at the last
+        window start are read."""
+        lo = boundary + 1
         starts, by_id, crossing = self.starts, self.by_id, self.crossing
         while starts and starts[0][0] <= boundary:
             _start, _seq, slot, item = heappop(starts)
@@ -327,19 +328,28 @@ class SdeStore:
                 crossing.add(item[-1])
         for rec_id in list(crossing):
             slot, item = by_id[rec_id]
-            if item[1] is not OPEN and item[1] <= boundary + 1:
-                self._expire(slot, item)
-            else:
-                item[0] = boundary + 1
+            if item[1] is OPEN or item[1] > lo:
+                item[0] = lo
+                starting = self.at.setdefault((slot[0], "start", slot[2]), {})
+                starting.setdefault(lo, set()).add(slot[1])
+            elif not self._expire(slot, item) and item[1] == lo:
+                # the slot's content merged this item with any that starts at
+                # lo, hiding that start, which a refresh shows
+                self._stale.add(slot)
 
-    def _expire(self, slot: tuple, item):
-        if self._take(slot, item) and slot not in self._stale:
+    def _expire(self, slot: tuple, item) -> bool:
+        """Take an item the window start passes; whether its slot is left
+        empty."""
+        if not self._take(slot, item):
+            return False
+        if slot not in self._stale:
             # all of the slot's content ended by the window start, as have its
             # points, which `index` drops
             if len(slot) == 2:
                 self.times.pop(slot, None)
             else:
                 self._forget_content(*slot)
+        return True
 
     def _forget_content(self, name: str, args: tuple, value):
         per_args = self.content.get(name, _NONE)
@@ -372,10 +382,7 @@ class SdeStore:
 
     def index(self, lo: int):
         """Bring the point index up to the window starting at `lo`: refresh the
-        slots that changed, test against `lo` the argument tuples whose content
-        changed, or starts or ends since the last window start, and drop the
-        points before `lo`."""
-        moved: dict[tuple, set] = {}
+        stale slots and drop the points before `lo`."""
         for slot in self._stale:
             name, args = slot[0], slot[1]
             if len(slot) == 2:  # an event's
@@ -403,21 +410,10 @@ class SdeStore:
                 per_args[args][value] = new
             else:
                 self._forget_content(name, args, value)
-            moved.setdefault((name, value), set()).add(args)
         self._stale.clear()
-        for (name, which, value), at in self.at.items():
-            crossed = moved.setdefault((name, value), set()) if which != "happens" else set()
+        for at in self.at.values():
             for t in range(self._lo, lo):
-                crossed.update(at.pop(t, ()))
-            crossed.update(at.get(lo, ()))
-        for (name, value), crossed in moved.items():
-            covering = self.covering.setdefault((name, value), set())
-            per_args = self.content.get(name, _NONE)
-            for args in crossed:
-                if iv.holds_at(per_args.get(args, _NONE).get(value, []), lo):
-                    covering.add(args)
-                else:
-                    covering.discard(args)
+                at.pop(t, None)
         self._lo = lo
 
     def _move(self, key: tuple, args: tuple, old: list[int], new: list[int], lo: int):
@@ -442,10 +438,8 @@ class SdeStore:
         """args -> the points of `key` at the window start `lo` and in [since,
         qi], as the window sees them: content holding at `lo` starts there, and
         none ends there."""
-        name, which, value = key
         at, out = self.at.get(key, _NONE), {}
-        first = self.covering.get((name, value), ()) if which == "start" else at.get(lo, ())
-        for args in first if which != "end" else ():
+        for args in at.get(lo, ()) if key[1] != "end" else ():
             out[args] = [lo]
         since = max(since, lo + 1)
         span = range(since, qi + 1)
@@ -589,6 +583,10 @@ class Engine:
         if rec.kind == "event":
             late = rec.t <= boundary and f"occurred at {rec.t}"
         elif rec.kind == "interval":
+            if rec.start < 0 or rec.end is not OPEN and rec.end <= rec.start:
+                self.diagnostics.append(f"record {rec.id!r} from {rec.start} to {rec.end} "
+                                        "is not an interval; dropped")
+                return
             late = rec.end is not OPEN and rec.end <= boundary + 1 and f"ended at {rec.end}"
         else:
             self.diagnostics.append(
@@ -935,7 +933,7 @@ class Engine:
                     by_time.setdefault(t, []).append(value)
             for t, values in by_time.items():
                 if len(values) > 1:
-                    values.sort(key=lambda v: order.index(v) if v in order else len(order))
+                    values.sort(key=order.index)
                     for loser in values[1:]:
                         per_value[loser].discard(t)
                     if (name, args, t) not in self._ties:
@@ -1271,10 +1269,9 @@ def run_stream(
     cfg: EngineConfig,
     records: list,
     last_q: Optional[int] = None,
-    pair_filter: Optional[set[tuple]] = None,
 ) -> tuple[Engine, list[RecognitionResult]]:
     """Feed records to a fresh engine and query it on `query_schedule`."""
-    engine, results = Engine(ed, cfg, pair_filter=pair_filter), []
+    engine, results = Engine(ed, cfg), []
     for qi, arriving in query_schedule(cfg, records, last_q):
         engine.ingest(arriving)
         results.append(engine.query(qi))

@@ -540,6 +540,8 @@ class _Parser:
                 if self.peek().text == "(":
                     self.fail("negation applies to a single fluent-value only")
                 negated.append(self._fluent_value())
+            elif negated:
+                self.fail("negated conjuncts must come last")
             elif self.peek().text == "(":
                 self.next()
                 group = [self._fluent_value()]
@@ -549,12 +551,8 @@ class _Parser:
                         self.fail("negation is not allowed inside a disjunction")
                     group.append(self._fluent_value())
                 self.expect(")")
-                if negated:
-                    self.fail("negated conjuncts must come last")
                 groups.append(tuple(group))
             else:
-                if negated:
-                    self.fail("negated conjuncts must come last")
                 groups.append((self._fluent_value(),))
             if self.peek().text == ",":
                 self.next()

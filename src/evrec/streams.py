@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -100,11 +100,9 @@ def _text(obj: dict, key: str, line: int) -> str:
     raise StreamFormatError(f"{key!r} must be a string or an integer", line)
 
 
-def _args(obj: dict, line: int, share) -> tuple:
-    args = _require(obj, "args", line)
-    if type(args) is not list or not all(type(a) is str or type(a) is int for a in args):
-        raise StreamFormatError("'args' must be a list of strings or integers", line)
-    return tuple([share(a, a) for a in args])
+def _args(obj: dict, line: int) -> NoReturn:
+    _require(obj, "args", line)
+    raise StreamFormatError("'args' must be a list of strings or integers", line)
 
 
 def _number(obj: dict, key: str, line: int) -> float:
@@ -127,10 +125,8 @@ _KINDS = {k: k for k in ("event", "interval", "coord")}
 _ARG_TYPES = {str, int}
 
 
-def _constant(table: dict, value, what: str, line: int) -> str:
-    if type(value) is not str or value not in table:
-        raise StreamFormatError(f"unknown {what} {value!r}", line)
-    return table[value]
+def _unknown(value, what: str, line: int) -> NoReturn:
+    raise StreamFormatError(f"unknown {what} {value!r}", line)
 
 
 def parse_record(obj: dict, line: int = 0) -> InputRecord:
@@ -150,15 +146,14 @@ def _parse_record(obj: dict, line: int, atoms: dict) -> InputRecord:
     if type(rec_id) is not str:
         rec_id = _text(obj, "id", line)
     action = get("action", "assert")
-    action = type(action) is str and _ACTIONS.get(action) or _constant(
-        _ACTIONS, action, "action", line)
+    action = type(action) is str and _ACTIONS.get(action) or _unknown(action, "action", line)
     arrival = get("arrival")
     if arrival is not None and (type(arrival) is not int or arrival < 0):
         raise StreamFormatError("arrival must be a non-negative integer", line)
     kind = get("kind", "event") if action == "retract" else get("kind")
     if kind is None and action != "retract":
         _require(obj, "kind", line)
-    kind = type(kind) is str and _KINDS.get(kind) or _constant(_KINDS, kind, "record kind", line)
+    kind = type(kind) is str and _KINDS.get(kind) or _unknown(kind, "record kind", line)
     # InputRecord(id, action, kind, name, args, value, t, start, end, entity, x, y, arrival)
     if action == "retract":
         return InputRecord(rec_id, action, kind, None, (), None, None, None, None, None, None,
@@ -200,7 +195,7 @@ def _parse_record(obj: dict, line: int, atoms: dict) -> InputRecord:
     if type(args) is list and _ARG_TYPES.issuperset(map(type, args)):
         args = tuple(map(share, args, args))
     else:
-        args = _args(obj, line, share)
+        _args(obj, line)
     return InputRecord(rec_id, action, kind, share(name, name), args, value, t, start, end,
                        None, None, None, arrival)
 

@@ -97,6 +97,23 @@ def test_forget_discards_old_content():
     assert eng.store.min_content() == 21
 
 
+@pytest.mark.parametrize("start,end", [(10, 5), (10, 10), (-3, 5)])
+def test_a_record_that_is_no_interval_is_dropped_with_diagnostic(start, end):
+    # alone in its slot it would initiate person; beside a second record it
+    # would make the slot's content fail to normalise
+    ed = surveillance("p1")
+    for kept in ([], [(12, 15)]):
+        eng = Engine(ed, EngineConfig(wm=20, step=20))
+        eng.ingest([fl(1, "walking", ("p1",), start, end)]
+                   + [fl(2, "walking", ("p1",), s, e) for s, e in kept])
+        result = eng.query(20)
+        assert eng.diagnostics == [f"record 'f1' from {start} to {end} is not an interval; "
+                                   "dropped"]
+        assert eng.store.fluent_intervals("walking", ("p1",), "true") == kept
+        assert [(e.start, e.end) for e in result.entries if e.name == "person"] == [
+            (s + 1, OPEN) for s, _e in kept]
+
+
 def test_late_record_dropped_with_diagnostic():
     ed = surveillance("p1")
     eng = Engine(ed, EngineConfig(wm=10, step=10))
@@ -300,9 +317,11 @@ def test_pair_filter_restricts_groundings():
     ]
     cfg = EngineConfig(wm=100, step=100)
     _eng, full = run_stream(ed, cfg, recs, last_q=100)
-    _eng, part = run_stream(ed, cfg, recs, last_q=100, pair_filter={("p1", "p2")})
+    engine = Engine(ed, cfg, pair_filter={("p1", "p2")})
+    engine.ingest(recs)
+    part = engine.query(100)
     full_pairs = {(e.name, e.args) for e in full[0].entries if len(e.args) == 2}
-    part_pairs = {(e.name, e.args) for e in part[0].entries if len(e.args) == 2}
+    part_pairs = {(e.name, e.args) for e in part.entries if len(e.args) == 2}
     assert {a for _n, a in full_pairs} == {("p1", "p2"), ("p2", "p1")}
     assert {a for _n, a in part_pairs} == {("p1", "p2")}
 
@@ -1286,6 +1305,21 @@ def test_point_index_equals_the_points_of_each_slot(seed, step, steps_per_window
         engine.query(qi)
         assert_index_matches_store(engine.store, qi - wm + 1, step, qi)
         assert all(t >= qi - wm + 1 for at in engine.store.at.values() for t in at)
+
+
+def test_a_start_merged_with_an_interval_ending_at_the_window_start_is_indexed():
+    # [5,10) and [10,15) are one interval of content; once the window starts
+    # at 10 the first is gone and the second starts there
+    store = SdeStore()
+    store.add_interval("a", "on", ("x",), "true", 5, 10)
+    store.add_interval("b", "on", ("x",), "true", 10, 15)
+    store.forget(0)
+    store.index(1)
+    assert store.points_from(("on", "start", "true"), 1, 1, 10) == {("x",): [5]}
+    store.forget(9)
+    store.index(10)
+    assert store.points_from(("on", "start", "true"), 10, 10, 20) == {("x",): [10]}
+    assert store.points_from(("on", "end", "true"), 10, 10, 20) == {("x",): [15]}
 
 
 def test_abutting_then_overlapping_records_have_no_point_between_them():

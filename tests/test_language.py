@@ -154,7 +154,7 @@ PACK_ERRORS = {
         "negation is not allowed inside a disjunction (line 8, column 33)"),
     "group after a negation": (
         packs.DECLARATIONS + "h(X) = true iff not g(X) = false, (g(X) = true).\n",
-        "negated conjuncts must come last (line 8, column 48)"),
+        "negated conjuncts must come last (line 8, column 35)"),
     "conjunct after a negation": (
         packs.DECLARATIONS + "h(X) = true iff not g(X) = false, g(X) = true.\n",
         "negated conjuncts must come last (line 8, column 35)"),
