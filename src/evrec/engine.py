@@ -18,11 +18,10 @@ groundings, and once more over the groundings with an earlier d, each from its
 own d, which the solve binds with the grounding; there a rule runs only where
 the grounding's content reaches its d in each input literal of the rule over
 exactly the head's variables, each such literal tested once per grounding.  It
-carries each grounding's initiations and terminations before its d, and makes
-its intervals in one run over the window from them, the fresh ones and the
-start of its last interval holding at the window start or ending there;
-terminations are solved from the window start instead where that interval ends
-there, or a value neither held nor initiated there is initiated there.  A
+carries each grounding's initiations before its d, and makes its intervals in
+one run over the window from them, the fresh ones, its terminations solved from
+the window start and the start of its last interval holding at the window
+start or ending there.  A
 statically determined fluent carries each grounding's intervals before its d,
 whose part before the window start is the retained prefix, and amalgamates
 them with a fresh result from d.  A derived event takes the earliest d of any
@@ -57,10 +56,10 @@ each cut to its part from the grounding's d on, with an interval reaching past
 Qi left OPEN, as the answer gives it.  The plans rely on
 validate's checks and repeat none of them; only an ordering comparison on
 non-integer values, which depends on the data, fails at query time.
-Terminations are evaluated only for groundings that can hold from their
-dirty-from time on, and a holdsFor rule only for groundings whose source row
-has content from their time on, each from its own dirty-from time in one run
-(see README.md).  Plan text holds no rule constant and no source: each
+Terminations are evaluated only for the groundings that a simple fluent
+rebuilds, and a holdsFor rule only for groundings whose source row has content
+from their dirty-from time on, each from its own time in one run (see
+README.md).  Plan text holds no rule constant and no source: each
 distinct text is compiled once per process, and each engine binds its own.
 
 `query_schedule` gives the query times and the records arriving by each;
@@ -188,9 +187,7 @@ def _carried(ilist: IntervalList, lo: int, since: int) -> IntervalList:
 
 def _joined(carried: dict, lo: int, since: int, fresh: dict) -> dict:
     """value -> the sorted times in (lo, since) of `carried` and those of
-    `fresh`; `carried` itself where that is all of it."""
-    if not fresh and all(lo < ts[0] and ts[-1] < since for ts in carried.values()):
-        return carried
+    `fresh`."""
     out = {}
     for value, ts in carried.items():
         if not (lo < ts[0] and ts[-1] < since):
@@ -511,7 +508,6 @@ class Engine:
         self._prev_derived: dict[str, dict] = {}  # the last query's _derived
         self._prev_events: dict[str, dict] = {}  # the last query's _events
         self._starts: dict[str, dict] = {}  # name -> args -> value -> initiations in window
-        self._ends: dict[str, dict] = {}  # name -> args -> value -> terminations solved in window
         # the last query's answers hold up to this time; minus infinity, as
         # before the first query, makes the next one evaluate everything
         # from the window start
@@ -581,18 +577,20 @@ class Engine:
             if rec.action == "retract":
                 return
         if rec.kind == "event":
+            bad = rec.t < 0 and f"at {rec.t} has a negative time"
             late = rec.t <= boundary and f"occurred at {rec.t}"
         elif rec.kind == "interval":
-            if rec.start < 0 or rec.end is not OPEN and rec.end <= rec.start:
-                self.diagnostics.append(f"record {rec.id!r} from {rec.start} to {rec.end} "
-                                        "is not an interval; dropped")
-                return
+            bad = (rec.start < 0 or rec.end is not OPEN and rec.end <= rec.start) and (
+                f"from {rec.start} to {rec.end} is not an interval")
             late = rec.end is not OPEN and rec.end <= boundary + 1 and f"ended at {rec.end}"
         else:
             self.diagnostics.append(
                 f"record {rec.id!r} of kind {rec.kind!r} is not an engine input; "
                 "coordinate samples must be preprocessed into closeness fluents"
             )
+            return
+        if bad:
+            self.diagnostics.append(f"record {rec.id!r} {bad}; dropped")
             return
         if late:
             self.diagnostics.append(
@@ -653,13 +651,11 @@ class Engine:
         run reads afresh.  With `over_live` it runs the nests in one loop over
         `live`, binding the head and d of each grounding."""
         kind, src = rules[0].kind, _PlanSource(self.store)
-        # A grounding with neither an initiation nor a kept start cannot hold,
-        # so only the live ones need their terminations.  An initiation is
-        # solved over given groundings from their own d, by a rule only where
-        # the grounding's content reaches d in each input literal of the rule
-        # over exactly the head's variables (an end point fires at d itself),
-        # each such literal tested once per grounding; its solutions at the
-        # window start are the plain plan's.
+        # An initiation is solved over given groundings from their own d, by a
+        # rule only where the grounding's content reaches d in each input
+        # literal of the rule over exactly the head's variables (an end point
+        # fires at d itself), each such literal tested once per grounding; its
+        # solutions at the window start are the plain plan's.
         reach = [_reach(rule, self.ed.is_input) if over_live and kind == INITIATED else []
                  for rule in rules]
         tests = {key: f"r{n}" for n, key in enumerate(dict.fromkeys(itertools.chain(*reach)))}
@@ -866,11 +862,8 @@ class Engine:
         """Each grounding has its own dirty-from time d (`_dirty_from`).  Each
         value's intervals are made in one run from the start s0 of the last
         query's interval holding at lo or ending there, as if initiated at
-        s0 - 1, the initiations and terminations in (lo, d) carried over, and
-        those at lo and from d on solved.  Groundings that can hold from d on
-        get terminations, from lo where they may hold in (lo, d) with none
-        solved there: (a) that interval ends at lo, whose end forgetting may
-        drop, or (b) a value neither held nor initiated at lo is initiated there."""
+        s0 - 1, the initiations in (lo, d) carried over, those at lo and from
+        d on solved, and the terminations solved from lo."""
         lo, qi = self._lo, self._qi
         floor, touched = self._dirty_from(name)
         fresh = self._solve(self._plans[INITIATED].get(name), floor)
@@ -878,8 +871,7 @@ class Engine:
             self._solve(self._plans["over"].get(name), touched, fresh)
         self._break_ties(name, fresh)
         last, last_starts = self._prev_derived.get(name, _NONE), self._starts.get(name, _NONE)
-        last_ends = self._ends.get(name, _NONE)
-        starts, ends, rebuilt, live = {}, {}, [], {}
+        starts, rebuilt = {}, {}
         for args in last.keys() | last_starts.keys() | fresh.keys():
             old, ivs = last_starts.get(args, _NONE), last.get(args, _NONE)
             dirty = touched.get(args, floor)
@@ -892,32 +884,21 @@ class Engine:
                     starts[args] = old
                 if ivs:
                     self._derived.setdefault(name, {})[args] = ivs
-                if carried := _joined(last_ends.get(args, _NONE), lo, dirty, _NONE):
-                    ends[args] = carried
                 continue
-            st, kept, since = _joined(old, lo, dirty, fresh.get(args, _NONE)), {}, dirty
-            for value, ilist in ivs.items():
-                if part := _carried(ilist, lo, lo + 1):  # holding at lo or ending there
-                    kept[value] = [part[0][0] - 1]
-                    if part[0][1] == lo:  # (a)
-                        since = lo
-            if any(ts[0] == lo and lo not in old.get(value, ()) and not iv.holds_at(
-                    ivs.get(value, ()), lo) for value, ts in st.items()):  # (b)
-                since = lo
-            if since < dirty or kept or any(ts[-1] >= dirty - 1 for ts in st.values()) or any(
-                    il[-1][1] is OPEN or il[-1][1] >= dirty for il in ivs.values()):
-                live[args] = since
+            st = _joined(old, lo, dirty, fresh.get(args, _NONE))
+            kept = {value: [part[0][0] - 1] for value, ilist in ivs.items()
+                    if (part := _carried(ilist, lo, lo + 1))}  # holding at lo or ending there
             if st:
                 starts[args] = st
-            rebuilt.append((args, since, st, kept))
-        self._starts[name], self._ends[name] = starts, ends
-        ended = self._solve(self._plans[TERMINATED].get(name), live)
-        for args, since, st, kept in rebuilt:
-            if en := _joined(last_ends.get(args, _NONE), lo, since, ended.get(args, _NONE)):
-                ends[args] = en
+            if st or kept:
+                rebuilt[args] = st, kept
+        self._starts[name] = starts
+        ended = self._solve(self._plans[TERMINATED].get(name), dict.fromkeys(rebuilt, lo))
+        for args, (st, kept) in rebuilt.items():
+            en = ended.get(args, _NONE)
             for value in st.keys() | kept.keys():
                 others = [t for v, ts in st.items() if v != value for t in ts]
-                breaks = sorted({*en.get(value, ()), *others}) if others else en.get(value, [])
+                breaks = sorted({*en.get(value, ()), *others})
                 ilist = iv.make_intervals(kept.get(value, []) + st.get(value, []), breaks, qi)
                 if ilist:
                     self._derived.setdefault(name, {}).setdefault(args, {})[value] = ilist

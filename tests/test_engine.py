@@ -114,6 +114,15 @@ def test_a_record_that_is_no_interval_is_dropped_with_diagnostic(start, end):
             (s + 1, OPEN) for s, _e in kept]
 
 
+def test_an_event_at_a_negative_time_is_dropped_with_diagnostic():
+    # the window start of the first query is negative, so it is not late
+    eng = Engine(surveillance("p1"), EngineConfig(wm=20, step=10))
+    eng.ingest([ev(1, "disappear", ("p1",), -5)])
+    eng.query(10)
+    assert eng.diagnostics == ["record 'e1' at -5 has a negative time; dropped"]
+    assert eng.store.event_times("disappear", ("p1",)) == []
+
+
 def test_late_record_dropped_with_diagnostic():
     ed = surveillance("p1")
     eng = Engine(ed, EngineConfig(wm=10, step=10))
@@ -897,7 +906,7 @@ def assert_state_stays_inside_the_window(ed, recs, wm):
         b = qi - wm
         assert engine.store.min_content() is None or engine.store.min_content() > b
         assert all(t > b for at in engine.store.at.values() for t in at)
-        for per_args in [*engine._starts.values(), *engine._ends.values()]:
+        for per_args in engine._starts.values():
             assert all(t > b for per_value in per_args.values()
                        for ts in per_value.values() for t in ts)
         for per_value in engine.prev_cache.values():
