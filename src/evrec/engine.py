@@ -2,9 +2,8 @@
 
 The engine is driven by query times Q1, Q2, ... spaced `step` ticks apart.
 At each query it applies buffered input, discards everything that took place
-at or before the window start (Qi - wm), brings the store's point index up to
-the new window, and brings every composite fluent up to date bottom-up by
-stratification level.
+at or before the window start (Qi - wm), and brings every composite fluent up
+to date bottom-up by stratification level.
 
 Work follows what changed, per grounding.  The store records, per input key
 (name, arguments), the earliest time the input applied at this query changes
@@ -33,8 +32,10 @@ name.
 
 Upkeep follows the change too.  The store forgets by popping, from a heap
 ordered by start, only the items the window start passes, and re-cuts the
-few intervals that cross it; it keeps the join indexes over input content,
-changing them only where an argument tuple enters or leaves the content.
+few intervals that cross it.  It keeps each slot's content, its points and
+the join indexes over the content current as each item enters, leaves or is
+cut, changing a join index only where an argument tuple enters or leaves the
+content.
 Classification keeps a grounding's entries while its intervals equal the
 last query's and the next boundary has not reached one of their endpoints.
 
@@ -227,24 +228,21 @@ class SdeStore:
         # removed from it since the owner last took this map covers;
         # forgetting does not count
         self.changed: dict[tuple, int] = {}
-        # The point index, brought up to a window start by `index`.  `content`
-        # holds each fluent slot's canonical content, and `times` each event
-        # slot's sorted times, as of the slot's last change; what forgetting
-        # has dropped or cut since lies before the window start, which no
-        # read looks at.  `at` maps (name, "start" or "end", value) of a fluent
-        # and (name, "happens", None) of an event to the argument tuples with
-        # a point at each time from the window start on; an interval that
-        # forgetting cuts starts at the window start, and `forget` adds that
-        # start.  `joins` maps a fluent name and a shape (arity, positions) to
-        # its argument tuples in `content` of that arity by their values at
-        # those positions, built by `join_index` and kept up to date as tuples
-        # enter and leave `content`.
+        # The views below change with each item that enters, leaves or is cut,
+        # as the window starting at `_lo` sees the items.  `content` holds each
+        # fluent slot's canonical content; what forgetting has dropped or cut
+        # since its last change lies before the window start, which no read
+        # looks at.  `at` maps (name, "start" or "end", value) of a fluent and
+        # (name, "happens", None) of an event to the argument tuples with a
+        # point at each time from the window start on; content holding at the
+        # window start starts there.  `joins` maps a fluent name and a shape
+        # (arity, positions) to its argument tuples in `content` of that arity
+        # by their values at those positions, built by `join_index` and kept
+        # up to date as tuples enter and leave `content`.
         self.content: dict[str, dict[tuple, dict[object, IntervalList]]] = {}
-        self.times: dict[tuple, list[int]] = {}
         self.at: dict[tuple, dict[int, set[tuple]]] = {}
         self.joins: dict[str, dict[tuple, dict[tuple, list]]] = {}
-        self._stale: set[tuple] = set()  # slots to refresh at the next index
-        self._lo = 0  # the window start of the last index
+        self._lo = 0  # the window start of the last `forget`
 
     def add_event(self, rec_id: str, name: str, args: tuple, t: int) -> bool:
         if rec_id in self.by_id:
@@ -252,6 +250,7 @@ class SdeStore:
         item = (t, rec_id)
         self.events.setdefault(name, {}).setdefault(args, []).append(item)
         self._added(rec_id, (name, args), item)
+        self._move((name, "happens", None), args, [], [t])
         return True
 
     def add_interval(
@@ -262,12 +261,13 @@ class SdeStore:
         item = [start, end, rec_id]
         self.durative.setdefault(name, {}).setdefault(args, {}).setdefault(value, []).append(item)
         self._added(rec_id, (name, args, value), item)
+        self._refresh(name, args, value)
         return True
 
     def _added(self, rec_id: str, slot: tuple, item):
         self.by_id[rec_id] = (slot, item)
         heappush(self.starts, (item[0], next(self._seq), slot, item))
-        self._changed(slot, item[0])
+        self._changed(slot[:2], item[0])
 
     def remove(self, rec_id: str) -> bool:
         entry = self.by_id.get(rec_id)
@@ -275,18 +275,19 @@ class SdeStore:
             return False
         slot, item = entry
         self._take(slot, item)
-        self._changed(slot, item[0])
+        if len(slot) == 3:
+            self._refresh(*slot)
+        self._changed(slot[:2], item[0])
         return True
 
-    def _changed(self, slot: tuple, t: int):
-        self._stale.add(slot)
-        key = slot[:2]
+    def _changed(self, key: tuple, t: int):
         if t < self.changed.get(key, math.inf):
             self.changed[key] = t
 
     def _take(self, slot: tuple, item) -> bool:
-        """Delete a stored item, and the keys it leaves without content;
-        whether its slot is left empty."""
+        """Delete a stored item, an event's point that no other item of its
+        slot has, and the keys it leaves without content; whether its slot is
+        left empty."""
         del self.by_id[item[-1]]
         self.crossing.discard(item[-1])
         name, args = slot[0], slot[1]
@@ -294,6 +295,8 @@ class SdeStore:
             per_args = self.events[name]
             items = per_args[args]
             items.remove(item)
+            if not any(t == item[0] for t, _id in items):
+                self._move((name, "happens", None), args, [item[0]], [])
             if items:
                 return False
             del per_args[args]
@@ -320,7 +323,7 @@ class SdeStore:
             if by_id.get(item[-1], _GONE)[1] is not item:
                 continue  # retracted or updated since it was pushed
             if len(slot) == 2:
-                self._expire(slot, item)
+                self._take(slot, item)
             else:
                 crossing.add(item[-1])
         for rec_id in list(crossing):
@@ -329,24 +332,41 @@ class SdeStore:
                 item[0] = lo
                 starting = self.at.setdefault((slot[0], "start", slot[2]), {})
                 starting.setdefault(lo, set()).add(slot[1])
-            elif not self._expire(slot, item) and item[1] == lo:
+            elif self._take(slot, item):
+                # all of the slot's content ended by the window start; its
+                # points before it go below, and an end at it is never read
+                self._forget_content(*slot)
+            elif item[1] == lo:
                 # the slot's content merged this item with any that starts at
                 # lo, hiding that start, which a refresh shows
-                self._stale.add(slot)
+                self._refresh(*slot)
+        for at in self.at.values():
+            for t in range(self._lo, lo):
+                at.pop(t, None)
+        self._lo = lo
 
-    def _expire(self, slot: tuple, item) -> bool:
-        """Take an item the window start passes; whether its slot is left
-        empty."""
-        if not self._take(slot, item):
-            return False
-        if slot not in self._stale:
-            # all of the slot's content ended by the window start, as have its
-            # points, which `index` drops
-            if len(slot) == 2:
-                self.times.pop(slot, None)
-            else:
-                self._forget_content(*slot)
-        return True
+    def _refresh(self, name: str, args: tuple, value):
+        """Bring a fluent slot's content, its points and its argument tuple's
+        join-index membership up to the slot's items."""
+        items = self.durative.get(name, _NONE).get(args, _NONE).get(value, ())
+        # one stored item is canonical already
+        new = [tuple(items[0][:2])] if len(items) == 1 else self.fluent_intervals(name, args, value)
+        old = self.content.get(name, _NONE).get(args, _NONE).get(value, [])
+        # as the window sees them: content holding at its start starts there
+        lo = self._lo
+        self._move((name, "start", value), args,
+                   [max(s, lo) for s, e in old if e is OPEN or e > lo],
+                   [max(s, lo) for s, e in new if e is OPEN or e > lo])
+        self._move((name, "end", value), args, [e for _s, e in old if e is not OPEN and e > lo],
+                   [e for _s, e in new if e is not OPEN and e > lo])
+        if new:
+            per_args = self.content.setdefault(name, {})
+            if args not in per_args:
+                per_args[args] = {}
+                self._rejoin(name, args, True)
+            per_args[args][value] = new
+        else:
+            self._forget_content(name, args, value)
 
     def _forget_content(self, name: str, args: tuple, value):
         per_args = self.content.get(name, _NONE)
@@ -377,47 +397,12 @@ class SdeStore:
                     index[key].remove(args)
                     _drop_empty(index, key)
 
-    def index(self, lo: int):
-        """Bring the point index up to the window starting at `lo`: refresh the
-        stale slots and drop the points before `lo`."""
-        for slot in self._stale:
-            name, args = slot[0], slot[1]
-            if len(slot) == 2:  # an event's
-                new = self.event_times(name, args)
-                self._move((name, "happens", None), args, self.times.pop(slot, []), new, lo)
-                if new:
-                    self.times[slot] = new
-                continue
-            value = slot[2]
-            items = self.durative.get(name, _NONE).get(args, _NONE).get(value, ())
-            # one stored item is canonical already
-            if len(items) == 1:
-                new = [tuple(items[0][:2])]
-            else:
-                new = self.fluent_intervals(name, args, value)
-            old = self.content.get(name, _NONE).get(args, _NONE).get(value, [])
-            self._move((name, "start", value), args, [s for s, _e in old], [s for s, _e in new], lo)
-            self._move((name, "end", value), args, [e for _s, e in old if e is not OPEN],
-                       [e for _s, e in new if e is not OPEN], lo)
-            if new:
-                per_args = self.content.setdefault(name, {})
-                if args not in per_args:
-                    per_args[args] = {}
-                    self._rejoin(name, args, True)
-                per_args[args][value] = new
-            else:
-                self._forget_content(name, args, value)
-        self._stale.clear()
-        for at in self.at.values():
-            for t in range(self._lo, lo):
-                at.pop(t, None)
-        self._lo = lo
-
-    def _move(self, key: tuple, args: tuple, old: list[int], new: list[int], lo: int):
-        """Replace the points of `args` under `key`, keeping those from `lo` on."""
+    def _move(self, key: tuple, args: tuple, old: list[int], new: list[int]):
+        """Replace the points of `args` under `key`, keeping those from the
+        window start on."""
         if old == new:
             return
-        at = self.at.setdefault(key, {})
+        at, lo = self.at.setdefault(key, {}), self._lo
         for t in old:
             here = at.get(t)
             if here is not None:
@@ -444,10 +429,6 @@ class SdeStore:
             for args in at.get(t, ()):
                 out.setdefault(args, []).append(t)
         return out
-
-    def event_times(self, name: str, args: tuple) -> list[int]:
-        """The distinct times an event slot holds, ascending."""
-        return sorted({t for t, _id in self.events.get(name, _NONE).get(args, ())})
 
     def fluent_intervals(self, name: str, args: tuple, value) -> IntervalList:
         slot = self.durative.get(name, _NONE).get(args, _NONE).get(value)
@@ -615,7 +596,6 @@ class Engine:
             self._apply(rec, boundary)
         self.pending.clear()
         self.store.forget(boundary)
-        self.store.index(boundary + 1)
         self._ties = {tie for tie in self._ties if tie[2] > boundary}
         # the last query's answers hold up to its own query time, and for a
         # grounding up to the earliest change applied now to input it reads
@@ -925,28 +905,22 @@ class Engine:
         self.diagnostics.extend(message for _args, _t, message in sorted(ties))
 
     def _compute_sd_fluent(self, name: str):
-        per_args, lo, plan = {}, self._lo, self._plans[HOLDS_FOR][name]
+        out, lo, plan = {}, self._lo, self._plans[HOLDS_FOR][name]
         floor, touched = self._dirty_from(name)
         for args, value, fresh in plan(lo, self._qi, floor, touched, self._derived, self._events):
-            slot = per_args.setdefault(args, {})
-            slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
+            if fresh:
+                slot = out.setdefault(args, {})
+                slot[value] = iv.union_all([slot[value], fresh]) if value in slot else fresh
         # the last query's result before each grounding's dirty-from time
         # carries over; its part at or before the window start is the retained
         # prefix
-        carried: dict[tuple, dict] = {}
-        for args, per_value in self._prev_derived.get(name, {}).items():
+        for args, per_value in self._prev_derived.get(name, _NONE).items():
             dirty = touched.get(args, floor)
             for value, ilist in per_value.items():
                 if part := _carried(ilist, lo, dirty):
-                    carried.setdefault(args, {})[value] = part
-        for args in per_args.keys() | carried.keys():
-            fresh, carry, result = per_args.get(args, {}), carried.get(args, {}), {}
-            for value in fresh.keys() | carry.keys():
-                ilist = iv.amalgamate(carry.get(value, []), fresh.get(value, []))
-                if ilist:
-                    result[value] = ilist
-            if result:
-                self._derived.setdefault(name, {})[args] = result
+                    slot = out.setdefault(args, {})
+                    slot[value] = iv.amalgamate(part, slot[value]) if value in slot else part
+        self._derived[name] = out
 
     def _compute_events(self, name: str):
         """The last query's occurrences before the dirty-from time carry over;

@@ -86,13 +86,18 @@ def test_simple_fluent_plus_one_offset():
     assert [(e.start, e.end) for e in got] == [(6, OPEN)]
 
 
+def event_times(store, name, args) -> list:
+    """The distinct times an event slot of the store holds, ascending."""
+    return sorted({t for t, _id in store.events.get(name, {}).get(args, ())})
+
+
 def test_forget_discards_old_content():
     ed = surveillance("p1")
     eng = Engine(ed, EngineConfig(wm=20, step=20))
     eng.ingest([ev(1, "appear", ("p1",), 5), fl(1, "walking", ("p1",), 3, 50)])
     eng.query(20)
     eng.query(40)  # boundary 20: the appear event and interval prefix must go
-    assert eng.store.event_times("appear", ("p1",)) == []
+    assert event_times(eng.store, "appear", ("p1",)) == []
     assert eng.store.fluent_intervals("walking", ("p1",), "true") == [(21, 50)]
     assert eng.store.min_content() == 21
 
@@ -120,7 +125,7 @@ def test_an_event_at_a_negative_time_is_dropped_with_diagnostic():
     eng.ingest([ev(1, "disappear", ("p1",), -5)])
     eng.query(10)
     assert eng.diagnostics == ["record 'e1' at -5 has a negative time; dropped"]
-    assert eng.store.event_times("disappear", ("p1",)) == []
+    assert event_times(eng.store, "disappear", ("p1",)) == []
 
 
 def test_late_record_dropped_with_diagnostic():
@@ -131,7 +136,7 @@ def test_late_record_dropped_with_diagnostic():
     eng.ingest([ev(1, "appear", ("p1",), 3)])  # occurred before window start 20
     eng.query(30)
     assert any("dropped" in d for d in eng.diagnostics)
-    assert eng.store.event_times("appear", ("p1",)) == []
+    assert event_times(eng.store, "appear", ("p1",)) == []
 
 
 def test_duplicate_assert_is_ignored():
@@ -142,7 +147,7 @@ def test_duplicate_assert_is_ignored():
         eng = Engine(surveillance("p1"), EngineConfig(wm=50, step=50))
         eng.ingest([first, again])
         eng.query(50)
-        assert (eng.store.event_times("appear", ("p1",)),
+        assert (event_times(eng.store, "appear", ("p1",)),
                 eng.store.fluent_intervals("walking", ("p1",), "true")) == held
         assert any("duplicate" in d for d in eng.diagnostics)
 
@@ -693,7 +698,7 @@ def test_run_stream_orders_a_retract_tying_an_arrival():
             eng, results = run_stream(ed, EngineConfig(wm=40, step=20), recs, last_q=last_q)
             assert results[-1].q == horizon_q
             assert eng.diagnostics == []  # the retract found the record before it
-            assert eng.store.event_times("appear", ("p1",)) == []
+            assert event_times(eng.store, "appear", ("p1",)) == []
             assert [(e.start, e.end) for e in results[0].entries] == [(6, OPEN)]
 
 
@@ -1244,10 +1249,17 @@ def test_reused_answers_equal_the_from_scratch_ones(seed, step, steps_per_window
         assert reusing.diagnostics == scratch.diagnostics
 
 
+def seen_from(ilist, lo) -> list:
+    """Intervals as the window starting at `lo` sees them: what ends by `lo`
+    is gone, and what holds at `lo` starts there."""
+    return [(max(s, lo), e) for s, e in ilist if e is OPEN or e > lo]
+
+
 def window_points(store, lo, since, qi) -> set:
     """(key, args, t) of every input point at the window start or in [since,
     qi], by definition: the start and end points of each slot's canonical
-    content clipped at Qi, and each event's times."""
+    content as the window starting at `lo` sees it, clipped at Qi, and each
+    event's times."""
     def keep(t):
         return t == lo or since <= t <= qi
 
@@ -1258,7 +1270,8 @@ def window_points(store, lo, since, qi) -> set:
     for name, per_args in store.durative.items():
         for args, per_value in per_args.items():
             for value, slot in per_value.items():
-                clipped = iv.clip_before(iv.normalize([(s, e) for s, e, _id in slot]), qi)[0]
+                canonical = iv.normalize([(s, e) for s, e, _id in slot])
+                clipped = iv.clip_before(seen_from(canonical, lo), qi)[0]
                 out |= {((name, "start", value), args, s)
                         for s in iv.start_points(clipped) if keep(s)}
                 out |= {((name, "end", value), args, e) for e in iv.end_points(clipped)
@@ -1278,8 +1291,7 @@ def assert_index_matches_store(store, lo, step, qi):
     for name, per_args in store.content.items():
         for args, per_value in per_args.items():
             for value, ilist in per_value.items():
-                cut = [(max(s, lo), e) for s, e in ilist if e is OPEN or e > lo]
-                if cut:
+                if cut := seen_from(ilist, lo):
                     content[(name, args, value)] = iv.clip_before(cut, qi)[0]
     _events, durative = store.snapshot()
     assert content == {slot: iv.clip_before(ilist, qi)[0] for slot, ilist in durative.items()}
@@ -1323,10 +1335,8 @@ def test_a_start_merged_with_an_interval_ending_at_the_window_start_is_indexed()
     store.add_interval("a", "on", ("x",), "true", 5, 10)
     store.add_interval("b", "on", ("x",), "true", 10, 15)
     store.forget(0)
-    store.index(1)
     assert store.points_from(("on", "start", "true"), 1, 1, 10) == {("x",): [5]}
     store.forget(9)
-    store.index(10)
     assert store.points_from(("on", "start", "true"), 10, 10, 20) == {("x",): [10]}
     assert store.points_from(("on", "end", "true"), 10, 10, 20) == {("x",): [15]}
 
@@ -1432,7 +1442,6 @@ def test_forgetting_by_start_equals_the_scan_over_every_item(seed, step, steps_p
             apply_to(scan, recs[idx], b)
             idx += 1
         store.forget(b)
-        store.index(b + 1)
         scan.forget(b)
         for name, shape in JOIN_SHAPES if qi == step else late_shapes if qi == 3 * step else ():
             store.join_index(name, shape)
@@ -1455,6 +1464,53 @@ def test_forgetting_by_start_equals_the_scan_over_every_item(seed, step, steps_p
         pushed = {id(entry[3]) for entry in store.starts}
         assert all(rec_id in store.crossing or id(item) in pushed
                    for rec_id, (_slot, item) in store.by_id.items())
+
+
+def assert_views_match_items(store):
+    """As the window starting at the store's last window start sees them,
+    each slot's content is the canonical content of its items, the point
+    index gives that content's start and end points and each event's times,
+    and each join index holds the argument tuples with content."""
+    lo, far = store._lo, 10 * HORIZON
+    content = {(name, args, value): seen_from(ilist, lo)
+               for name, per_args in store.content.items()
+               for args, per_value in per_args.items() for value, ilist in per_value.items()}
+    _events, durative = store.snapshot()
+    assert content == {slot: seen_from(ilist, lo) for slot, ilist in durative.items()}
+    got = {(key, args, t) for key in store.at
+           for args, ts in store.points_from(key, lo, lo, far).items() for t in ts}
+    assert got == window_points(store, lo, lo, far)
+    for name, shapes in store.joins.items():
+        for (arity, positions), index in shapes.items():
+            rebuilt = {}
+            for args in store.content.get(name, {}):
+                if len(args) == arity:
+                    rebuilt.setdefault(tuple(args[p] for p in positions), set()).add(args)
+            assert {key: set(rows) for key, rows in index.items()} == rebuilt
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 6))
+def test_each_add_remove_and_cut_keeps_content_and_points_current(seed, step, steps_per_window):
+    # checked after every single store call, an update being a remove and
+    # then an add, and after every forget
+    rng = random.Random(seed)
+    wm = step * steps_per_window + rng.randrange(step)
+    recs = store_stream(rng, wm)
+    store = SdeStore()
+    for name, shape in JOIN_SHAPES:
+        store.join_index(name, shape)
+    last_q = step * math.ceil((max((r.arrival for r in recs), default=0) + HORIZON + wm) / step)
+    idx = 0
+    for qi in range(step, last_q + 1, step):
+        b = qi - wm
+        while idx < len(recs) and recs[idx].arrival <= qi:
+            rec = recs[idx]
+            for action in ("retract", "assert") if rec.action == "update" else (rec.action,):
+                apply_to(store, replace(rec, action=action), b)
+                assert_views_match_items(store)
+            idx += 1
+        store.forget(b)
+        assert_views_match_items(store)
 
 
 def classified(cache: dict, next_boundary: int) -> list:
